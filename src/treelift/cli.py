@@ -72,7 +72,7 @@ def _solve_one(game, args):
         part_odd = [str(game.label_of(v)) for v in range(game.n)
                     if res.labeling[v] is trees.TOP]
         return {
-            "tree": {"kind": spec.kind, "capacity": spec.capacity, "height": spec.height},
+            "tree": spec.as_dict(),
             "winners": {"even": part_even, "odd": part_odd},
             "labels": res.labeling.as_dict(game),
             "phases": 1,

@@ -30,7 +30,6 @@ INF = inf
 class Counters:
     """Mutable tally of label operations for benchmarking."""
 
-    lifts: int = 0
     drops: int = 0
     bf_runs: int = 0
 
@@ -191,14 +190,13 @@ def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
     for v, w in arcs:
         adj[v].append(w)
     comps = strongly_connected(report.base_nodes, lambda v: adj[v])
-    if __debug__:
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        for v, w in arcs:
-            if comp_of[v] != comp_of[w]:
-                raise InvariantError("auxiliary digraph component not strongly connected")
+    comp_of = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    for v, w in arcs:
+        if comp_of[v] != comp_of[w]:
+            raise InvariantError("auxiliary digraph component not strongly connected")
     components = tuple(tuple(sorted(c)) for c in sorted(comps, key=min))
     return AuxiliaryDigraph(tuple(report.base_nodes), frozenset(arcs), components)
 
@@ -245,58 +243,28 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None, on_pass=None) -> No
 def _thresholds(report, w, j, k, spec, prio, counters=None):
     """Per node u of J_w, the smallest chain position i whose member tree
     admits a finite drop fixed point at u when w is pinned to that member's
-    minimum leaf; INF when even the largest member fails."""
+    minimum leaf; INF when even the largest member fails.
+
+    Members are probed in increasing order until every node is finite, so
+    the number of Bellman-Ford probes is one more than the largest finite
+    threshold (the whole chain length when some threshold is INF)."""
     jn = sorted(report.j_nodes[w])
     arcs = sorted((u, x) for u in jn for x in report.j_succ[w][u])
-    length = trees.chain_length(spec, j, k)
-
-    def finite_at(i):
+    out = dict.fromkeys(jn, INF)
+    pending = set(jn)
+    for i in range(trees.chain_length(spec, j, k)):
+        if not pending:
+            break
         domain = trees.chain_member_spec(spec, j, k, i)
         values = {u: TOP for u in jn}
         values[w] = trees.min_leaf(domain)
         if counters is not None:
             counters.bf_runs += 1
         _bf(values, arcs, prio, domain, len(jn) - 1, counters)
-        return {u for u in jn if values[u] is not TOP}
-
-    out = {}
-    if length <= 3:
-        pending = set(jn)
-        for i in range(length):
-            if not pending:
-                break
-            fin = finite_at(i)
-            for u in sorted(pending & fin):
-                out[u] = i
-            pending -= fin
-        for u in pending:
-            out[u] = INF
-        return out
-
-    def assign(lo, hi, cand):
-        if not cand:
-            return
-        if lo == hi:
-            fin = finite_at(lo)
-            for u in cand:
-                out[u] = lo if u in fin else INF
-            return
-        mid = (lo + hi) // 2
-        fin = finite_at(mid)
-        assign(lo, mid, [u for u in cand if u in fin])
-        assign(mid + 1, hi, [u for u in cand if u not in fin])
-
-    def assign_top(lo, hi, cand):
-        # theta in [lo, hi] or INF for every candidate
-        if not cand:
-            return
-        fin = finite_at(hi)
-        assign(lo, hi, [u for u in cand if u in fin])
-        for u in cand:
-            if u not in fin:
-                out[u] = INF
-
-    assign_top(0, length - 1, jn)
+        fin = {u for u in pending if values[u] is not TOP}
+        for u in fin:
+            out[u] = i
+        pending -= fin
     return out
 
 
@@ -465,9 +433,8 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
                 if mu[w] is TOP:
                     continue
                 finite = [(k, i) for k, i in per_node[w] if i is not INF]
-                if __debug__ and any(i == 0 for _, i in finite):
-                    if not all(i == 0 for _, i in finite):
-                        raise InvariantError("zero-cost cycle must be zero for all chains")
+                if any(i == 0 for _, i in finite) and not all(i == 0 for _, i in finite):
+                    raise InvariantError("zero-cost cycle must be zero for all chains")
                 best = TOP
                 for k, i in finite:
                     if i == 0:
@@ -476,10 +443,8 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
                         best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
                 nu[w] = best
     out = bellman_ford(sub, nu, counters)
-    if __debug__:
-        for v in range(sub.n):
-            if out[v] < mu[v]:
-                raise InvariantError("fixed point fell below the input labeling")
+    if not mu.leq(out):
+        raise InvariantError("fixed point fell below the input labeling")
     return out
 
 
@@ -488,19 +453,16 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
 # ---------------------------------------------------------------------------
 
 
-def compute_phi(sub, base_nodes=None, up_to=None):
+def compute_phi(sub, base_nodes, up_to=None):
     """Per even priority p: a topological index on H_p (H = the subgraph with
-    all base-node out-arcs removed): 0 above priority p, otherwise constant
-    exactly on SCCs and nonincreasing along reachability."""
+    all out-arcs of ``base_nodes`` removed): 0 above priority p, otherwise
+    constant exactly on SCCs and nonincreasing along reachability."""
     n = sub.n
     prio = sub.priorities
-    if base_nodes is None:
-        base_nodes = find_base_nodes(sub).base_nodes
     blocked = set(base_nodes)
     hsucc = [(() if v in blocked else sub.succ[v]) for v in range(n)]
-    if __debug__:
-        if _base_nodes_only(n, hsucc, prio):
-            raise InvariantError("H still contains an even cycle")
+    if _base_nodes_only(n, hsucc, prio):
+        raise InvariantError("H still contains an even cycle")
     d = max(prio)
     d += d % 2
     if up_to is not None:
@@ -531,18 +493,17 @@ def _potential(spec, phi, values, v, d):
     return tuple(parts)
 
 
-def dijkstra(sub, nu: NodeLabeling, counters=None) -> NodeLabeling:
-    """Label-setting sweep: fixes base-node labels from ``nu``, then admits
-    the node of minimum interlaced potential and drops its incoming arcs.
-    Returns the pointwise minimal labeling feasible in H that agrees with
-    ``nu`` on the base nodes."""
+def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
+    """Label-setting sweep: fixes the labels of ``base_nodes`` (all base nodes
+    of ``sub``) from ``nu``, then admits the node of minimum interlaced
+    potential and drops its incoming arcs.  Returns the pointwise minimal
+    labeling feasible in H that agrees with ``nu`` on the base nodes."""
     spec = nu.spec
     n = sub.n
-    base = find_base_nodes(sub).base_nodes
-    S = set(base)
+    S = set(base_nodes)
     values = [nu[v] if v in S else TOP for v in range(n)]
     d = 2 * spec.height
-    phi = compute_phi(sub, base, up_to=d)
+    phi = compute_phi(sub, base_nodes, up_to=d)
 
     def drop_into(v, w):
         t = tighten_target(spec, values[w], sub.priorities[v])
@@ -574,10 +535,9 @@ def dijkstra(sub, nu: NodeLabeling, counters=None) -> NodeLabeling:
         pot, u = heapq.heappop(heap)
         if u in S or current.get(u) != pot:
             continue
-        if __debug__:
-            if last_pot is not None and pot < last_pot:
-                raise InvariantError("dijkstra admitted a decreasing potential")
-            last_pot = pot
+        if last_pot is not None and pot < last_pot:
+            raise InvariantError("dijkstra admitted a decreasing potential")
+        last_pot = pot
         S.add(u)
         for v in sub.pred[u]:
             if v not in S and drop_into(v, u):
@@ -589,21 +549,19 @@ def dijkstra(sub, nu: NodeLabeling, counters=None) -> NodeLabeling:
 def least_fixed_point_perfect(sub, mu: NodeLabeling, spec: TreeSpec,
                               counters=None) -> NodeLabeling:
     """Label-setting least fixed point for perfect trees: lift once at every
-    base node whose out-arcs are all violated, then run Dijkstra."""
+    base node whose out-arcs are all violated, then run Dijkstra.  Exact only
+    when the tree's capacity is at least the number of nodes; the solver
+    uses the label-correcting engine below that."""
     if spec.kind != trees.PERFECT:
         raise UsageError("least_fixed_point_perfect requires a perfect tree")
     require_no_loose(sub, mu)
-    base = find_base_nodes(sub).base_nodes
+    base = _base_nodes_only(sub.n, sub.succ, sub.priorities)
     mu2 = mu.copy()
     for v in base:
         targets = [tighten_target(spec, mu2[w], sub.priorities[v]) for w in sub.succ[v]]
         if all(mu2[v] < t for t in targets):
             mu2[v] = min(targets)
-            if counters is not None:
-                counters.lifts += 1
-    out = dijkstra(sub, mu2, counters)
-    if __debug__:
-        for v in range(sub.n):
-            if out[v] < mu[v]:
-                raise InvariantError("fixed point fell below the input labeling")
+    out = dijkstra(sub, mu2, base, counters)
+    if not mu.leq(out):
+        raise InvariantError("fixed point fell below the input labeling")
     return out

@@ -43,9 +43,8 @@ class SwitchFirst(SwitchAll):
     name = "first"
 
     def select(self, game, labeling, admissible, rng=None):
-        full = super().select(game, labeling, admissible)
-        v = min(full)
-        return {v: full[v]}
+        v = min(t for t, _ in admissible)
+        return super().select(game, labeling, [a for a in admissible if a[0] == v])
 
 
 class SwitchRandom:
@@ -105,12 +104,7 @@ class SolveResult:
     def to_json_dict(self, game: ParityGame, spec: TreeSpec) -> dict:
         lab = lambda v: str(game.label_of(v))
         return {
-            "tree": {
-                "kind": spec.kind,
-                "capacity": spec.capacity,
-                "height": spec.height,
-                **({"strahler_g": spec.strahler_g} if spec.kind == trees.STRAHLER else {}),
-            },
+            "tree": spec.as_dict(),
             "winners": {
                 "even": [lab(v) for v in self.even_wins],
                 "odd": [lab(v) for v in self.odd_wins],
@@ -141,12 +135,14 @@ def extract_even_strategy(game: ParityGame, labeling: NodeLabeling) -> dict:
     return sigma
 
 
-def _engine_for(spec: TreeSpec, engine: str):
+def _engine_for(spec: TreeSpec, engine: str, n: int):
     if engine == "auto":
-        engine = "perfect" if spec.kind == trees.PERFECT else "lc"
+        engine = "perfect" if spec.kind == trees.PERFECT and spec.capacity >= n else "lc"
     if engine in ("perfect", "dijkstra"):
         if spec.kind != trees.PERFECT:
             raise UsageError(f"engine {engine!r} requires a perfect tree")
+        if spec.capacity < n:
+            raise UsageError(f"engine {engine!r} requires tree capacity >= n = {n}")
         return one_player.least_fixed_point_perfect
     if engine == "lc":
         return one_player.least_fixed_point_lc
@@ -157,12 +153,12 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
                              rule=None, engine: str = "auto",
                              record_phases: bool = True,
                              race_naive: bool = False,
-                             aux_dump=None,
-                             check_invariants: bool = True) -> SolveResult:
+                             aux_dump=None) -> SolveResult:
     """Run strategy iteration to the pointwise minimal feasible labeling.
 
     ``engine`` picks the 1-player fixed point routine ('auto' uses the
-    label-setting engine for perfect trees, label-correcting otherwise).
+    label-setting engine for perfect trees of capacity >= n, label-correcting
+    otherwise).
     ``race_naive`` additionally recomputes every phase with the naive lifting
     oracle and verifies agreement.  ``aux_dump`` (a list) collects per-phase
     auxiliary-digraph cost tables from the label-correcting engine.
@@ -176,7 +172,7 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         warnings.append(
             f"tree capacity {spec.capacity} < n = {game.n}: the winner "
             "characterisation needs capacity for every node")
-    lfp = _engine_for(spec, engine)
+    lfp = _engine_for(spec, engine, game.n)
     counters = one_player.Counters()
     tau = dict(tau1) if tau1 is not None else default_strategy(game)
     mu = NodeLabeling.all_min(spec, game.n)
@@ -198,12 +194,11 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
             check = naive_lfp(sub, mu, spec)
             if check != new:
                 raise InvariantError("engine disagrees with the naive lifting oracle")
-        if check_invariants:
-            if not mu.leq(new):
-                raise InvariantError("labeling decreased across a phase")
-            if not is_feasible(sub, new, arcs=sub.arcs()):
-                raise InvariantError("phase labeling infeasible in the strategy subgraph")
-            one_player.require_no_loose(sub, new)
+        if not mu.leq(new):
+            raise InvariantError("labeling decreased across a phase")
+        if not is_feasible(sub, new, arcs=sub.arcs()):
+            raise InvariantError("phase labeling infeasible in the strategy subgraph")
+        one_player.require_no_loose(sub, new)
         lifts += sum(1 for v in range(game.n) if new[v] > mu[v])
         mu = new
         if record_phases:

@@ -159,9 +159,10 @@ def test_criterion_5_one_player_oracle_equivalence():
                 if spec.kind == trees.PERFECT:
                     assert least_fixed_point_perfect(sub, mu, spec) == want
                     seed = NodeLabeling.all_top(spec, game.n)
-                    for w in find_base_nodes(sub).base_nodes:
+                    base = find_base_nodes(sub).base_nodes
+                    for w in base:
                         seed[w] = want[w]
-                    assert dijkstra(sub, seed) == want
+                    assert dijkstra(sub, seed, base) == want
 
 
 def test_criterion_6_raise_exhaustive():

@@ -63,6 +63,20 @@ def test_solve_usage_errors(tmp_path, worked_path):
     rc, _, err = run_cli(["solve", worked_path, "--tree", "succinct",
                           "--engine", "perfect"])
     assert rc == 2
+    rc, _, err = run_cli(["solve", worked_path, "--capacity", "3",
+                          "--engine", "dijkstra"])
+    assert rc == 2 and err.startswith("error:")
+
+
+def test_solve_tree_object_same_for_both_algos(worked_path):
+    objs = []
+    for algo in ("strategy", "progress"):
+        rc, out, err = run_cli(["solve", worked_path, "--tree", "strahler",
+                                "--algo", algo])
+        assert rc == 0, err
+        objs.append(json.loads(out)["tree"])
+    assert objs[0] == objs[1]
+    assert objs[0]["strahler_g"] == 2
 
 
 def test_verify_random_ok():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import inf
 
 import pytest
@@ -16,7 +19,7 @@ from treelift.one_player import (arc_costs_generic, arc_costs_succinct,
 from treelift.oracle import naive_lfp
 from treelift.trees import TOP, TreeSpec, tighten_target
 
-from .conftest import WORKED_TAU
+from .conftest import WORKED_TAU, WORKED_TEXT
 
 A, B, C, D, E = range(5)
 
@@ -211,7 +214,7 @@ def test_lfp_lc_rejects_loose(worked, p32):
 
 def test_compute_phi_properties(worked):
     sub = worked_sub(worked)
-    phi = compute_phi(sub)
+    phi = compute_phi(sub, find_base_nodes(sub).base_nodes)
     # zero exactly above the priority
     for p, vals in phi.items():
         for v in range(worked.n):
@@ -226,9 +229,10 @@ def test_dijkstra_worked(worked, p32):
     sub = worked_sub(worked)
     nu = NodeLabeling.all_top(p32, worked.n)
     nu[D] = (0, 0)
-    out = dijkstra(sub, nu)
+    base = find_base_nodes(sub).base_nodes
+    out = dijkstra(sub, nu, base)
     assert out.values == [(0, 1), (0, 2), (1, 0), (0, 0), (1, 0)]
-    allt = dijkstra(sub, NodeLabeling.all_top(p32, worked.n))
+    allt = dijkstra(sub, NodeLabeling.all_top(p32, worked.n), base)
     assert all(x is TOP for x in allt.values)
 
 
@@ -318,3 +322,36 @@ def test_base_seed_between_lfp_and_threshold():
                 hat = _brute_threshold_label(sub, spec, w, mu)
                 assert fix[w] <= seed
                 assert seed <= hat
+
+
+_OPTIMIZED_CHECK = """
+import sys
+from treelift import one_player
+from treelift.errors import InvariantError
+from treelift.game import parse_pgsolver, strategy_subgraph
+from treelift.labeling import NodeLabeling
+from treelift.trees import TreeSpec
+
+if __debug__:
+    sys.exit(3)
+game = parse_pgsolver(sys.argv[1])
+sub = strategy_subgraph(game, {0: 3, 4: 2})
+spec = TreeSpec.perfect(3, 2)
+mu = one_player.least_fixed_point_lc(sub, NodeLabeling.all_min(spec, game.n), spec)
+one_player.bellman_ford = lambda sub, lab, counters=None: NodeLabeling.all_min(spec, sub.n)
+try:
+    one_player.least_fixed_point_lc(sub, mu, spec)
+except InvariantError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    # a final sweep that falls below the input must be caught even when
+    # the interpreter strips asserts and __debug__ blocks
+    src = os.path.dirname(os.path.dirname(trees.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECK, WORKED_TEXT],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -110,16 +110,27 @@ def test_phase_monotonicity_and_rule_independence():
 
 
 def test_agreement_with_progress_measure():
+    # two capacity-2 games on which the label-setting engine is wrong, so
+    # 'auto' must not pick it below capacity n
+    cases = [(gen_random(14, 4, 3, seed=1866400320), 2),
+             (gen_random(14, 2, 3, seed=2224788822), 2)]
     rng = random.Random(15)
     for _ in range(25):
         g = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,
                        seed=rng.randint(0, 10 ** 9))
-        for kind in (trees.PERFECT, trees.SUCCINCT):
-            spec = (TreeSpec.perfect if kind == trees.PERFECT else
-                    TreeSpec.succinct)(g.n, g.d // 2)
-            a = strategy_iteration_solve(g, spec, record_phases=False).labeling
-            b = progress_measure_solve(g, spec).labeling
-            assert a == b
+        cases.append((g, g.n))
+    for g, cap in cases:
+        h = g.d // 2
+        specs = [TreeSpec.perfect(cap, h), TreeSpec.succinct(cap, h),
+                 TreeSpec.strahler(min(h, cap.bit_length() - 1), cap, h)]
+        for spec in specs:
+            want = progress_measure_solve(g, spec).labeling
+            engines = ["auto"]
+            if spec.kind == trees.PERFECT and cap >= g.n:
+                engines.append("lc")
+            for engine in engines:
+                res = strategy_iteration_solve(g, spec, engine=engine, record_phases=False)
+                assert res.labeling == want, (spec, engine)
 
 
 def test_winners_match_zielonka_smoke():
@@ -139,9 +150,16 @@ def test_race_naive_flag(worked, p32):
 
 
 def test_engine_overrides(worked, p32, s32):
-    by_lc = strategy_iteration_solve(worked, p32, engine="lc")
-    by_pf = strategy_iteration_solve(worked, p32, engine="perfect")
-    by_dj = strategy_iteration_solve(worked, p32, engine="dijkstra")
+    p52 = TreeSpec.perfect(worked.n, 2)
+    by_lc = strategy_iteration_solve(worked, p52, engine="lc")
+    by_pf = strategy_iteration_solve(worked, p52, engine="perfect")
+    by_dj = strategy_iteration_solve(worked, p52, engine="dijkstra")
     assert by_lc.labeling == by_pf.labeling == by_dj.labeling
     with pytest.raises(UsageError):
         strategy_iteration_solve(worked, s32, engine="perfect")
+    # below capacity n only the label-correcting engine is exact
+    assert (strategy_iteration_solve(worked, p32).labeling ==
+            strategy_iteration_solve(worked, p32, engine="lc").labeling)
+    for engine in ("perfect", "dijkstra"):
+        with pytest.raises(UsageError):
+            strategy_iteration_solve(worked, p32, engine=engine)
