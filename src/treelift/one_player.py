@@ -6,9 +6,9 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
 * ``least_fixed_point_lc``: label-correcting.  Base nodes (dominators of even
   cycles) are seeded via minimum bottleneck cycles of an auxiliary digraph
   whose per-chain arc costs bracket the subtree width needed around each
-  cycle; a Bellman-Ford sweep then drops all labels to the fixed point.
+  cycle; a worklist Bellman-Ford then drops all labels to the fixed point.
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
-  topological potentials); perfect trees only.
+  topological potentials); perfect trees of capacity at least n only.
 """
 
 from __future__ import annotations
@@ -206,32 +206,46 @@ def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
 # ---------------------------------------------------------------------------
 
 
-def _bf(values, arcs, priorities, spec, passes, counters=None, on_pass=None):
-    """Drop every arc's tail label, ``passes`` rounds in a fixed order;
-    early exit on a round without changes.  ``values`` is mutated."""
-    for _ in range(max(passes, 1)):
-        changed = False
-        for v, w in arcs:
-            t = tighten_target(spec, values[w], priorities[v])
-            if t < values[v]:
-                values[v] = t
-                changed = True
-                if counters is not None:
-                    counters.drops += 1
+def _bf(values, arcs, priorities, spec, counters=None, on_pass=None):
+    """Drop tail labels over ``arcs`` to the greatest fixed point below
+    ``values`` (mutated) with a round-based FIFO worklist: round one
+    examines the in-arcs of every non-TOP head, each later round only the
+    in-arcs of the tails that dropped in the round before, in first-drop
+    order.  Drop is monotone in the head label, so any fair order reaches
+    the fixed point of the fixed-order sweep over every arc.  Every write
+    strictly lowers a label in a finite tree, so the frontier empties."""
+    in_arcs = {}
+    for v, w in arcs:
+        in_arcs.setdefault(w, []).append((v, priorities[v]))
+    frontier = [w for w in sorted(in_arcs) if values[w] is not TOP]
+    drops = 0
+    while frontier:
+        dropped = {}
+        for w in frontier:
+            head = values[w]
+            for v, p in in_arcs.get(w, ()):
+                t = tighten_target(spec, head, p)
+                if t < values[v]:
+                    values[v] = t
+                    dropped[v] = None
+                    drops += 1
         if on_pass is not None:
             on_pass(values)
-        if not changed:
-            break
+        frontier = dropped
+    if counters is not None:
+        counters.drops += drops
     return values
 
 
 def bellman_ford(sub, labeling: NodeLabeling, counters=None, on_pass=None) -> NodeLabeling:
-    """n-1 ordered passes of drop over all arcs of the strategy subgraph."""
+    """Drop every label of the strategy subgraph to the greatest fixed point
+    below ``labeling`` with the worklist of ``_bf``: each round examines only
+    the in-arcs of the labels that dropped in the round before."""
     out = labeling.copy()
     arcs = sorted(sub.arcs())
     if counters is not None:
         counters.bf_runs += 1
-    _bf(out.values, arcs, sub.priorities, out.spec, sub.n - 1, counters, on_pass)
+    _bf(out.values, arcs, sub.priorities, out.spec, counters, on_pass)
     return out
 
 
@@ -260,7 +274,7 @@ def _thresholds(report, w, j, k, spec, prio, counters=None):
         values[w] = trees.min_leaf(domain)
         if counters is not None:
             counters.bf_runs += 1
-        _bf(values, arcs, prio, domain, len(jn) - 1, counters)
+        _bf(values, arcs, prio, domain, counters)
         fin = {u for u in pending if values[u] is not TOP}
         for u in fin:
             out[u] = i
@@ -298,7 +312,7 @@ def arc_costs_succinct(sub, report, aux: AuxiliaryDigraph, w, spec, counters=Non
     values[w] = trees.min_leaf(domain)
     if counters is not None:
         counters.bf_runs += 1
-    _bf(values, arcs, sub.priorities, domain, len(jn) - 1, counters)
+    _bf(values, arcs, sub.priorities, domain, counters)
     costs = {}
     for v in sorted(report.j_tops[w]):
         outs = report.j_succ[w][v]
@@ -497,9 +511,13 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     """Label-setting sweep: fixes the labels of ``base_nodes`` (all base nodes
     of ``sub``) from ``nu``, then admits the node of minimum interlaced
     potential and drops its incoming arcs.  Returns the pointwise minimal
-    labeling feasible in H that agrees with ``nu`` on the base nodes."""
+    labeling feasible in H that agrees with ``nu`` on the base nodes.
+    Exact only for a tree capacity of at least the number of nodes, so a
+    smaller capacity raises ``UsageError``."""
     spec = nu.spec
     n = sub.n
+    if spec.capacity < n:
+        raise UsageError(f"the label-setting engine requires tree capacity >= n = {n}")
     S = set(base_nodes)
     values = [nu[v] if v in S else TOP for v in range(n)]
     d = 2 * spec.height
@@ -550,8 +568,8 @@ def least_fixed_point_perfect(sub, mu: NodeLabeling, spec: TreeSpec,
                               counters=None) -> NodeLabeling:
     """Label-setting least fixed point for perfect trees: lift once at every
     base node whose out-arcs are all violated, then run Dijkstra.  Exact only
-    when the tree's capacity is at least the number of nodes; the solver
-    uses the label-correcting engine below that."""
+    when the tree's capacity is at least the number of nodes, so ``dijkstra``
+    raises ``UsageError`` below that; use ``least_fixed_point_lc`` there."""
     if spec.kind != trees.PERFECT:
         raise UsageError("least_fixed_point_perfect requires a perfect tree")
     require_no_loose(sub, mu)

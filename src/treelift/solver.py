@@ -141,8 +141,6 @@ def _engine_for(spec: TreeSpec, engine: str, n: int):
     if engine in ("perfect", "dijkstra"):
         if spec.kind != trees.PERFECT:
             raise UsageError(f"engine {engine!r} requires a perfect tree")
-        if spec.capacity < n:
-            raise UsageError(f"engine {engine!r} requires tree capacity >= n = {n}")
         return one_player.least_fixed_point_perfect
     if engine == "lc":
         return one_player.least_fixed_point_lc

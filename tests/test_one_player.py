@@ -6,17 +6,19 @@ from math import inf
 
 import pytest
 
-from treelift import trees
+from treelift import one_player, trees
 from treelift.errors import UsageError
 from treelift.game import gen_random, parse_pgsolver, strategy_subgraph
 from treelift.labeling import NodeLabeling
-from treelift.one_player import (arc_costs_generic, arc_costs_succinct,
-                                 bellman_ford, build_auxiliary_digraph,
+from treelift.one_player import (Counters, _bf, arc_costs_generic,
+                                 arc_costs_succinct, bellman_ford,
+                                 build_auxiliary_digraph,
                                  compute_phi, dijkstra, find_base_nodes,
                                  least_fixed_point_lc,
                                  least_fixed_point_perfect,
                                  min_bottleneck_cycle_costs)
 from treelift.oracle import naive_lfp
+from treelift.solver import strategy_iteration_solve
 from treelift.trees import TOP, TreeSpec, tighten_target
 
 from .conftest import WORKED_TAU, WORKED_TEXT
@@ -104,6 +106,94 @@ def test_bellman_ford_sandwich(worked, p32):
     for state in seen:
         for v in range(worked.n):
             assert mu[v] <= fix[v] <= state[v]
+
+
+def _sweep(values, arcs, priorities, spec):
+    """Reference drop iteration: every arc in a fixed order, pass after pass
+    until one changes nothing."""
+    changed = True
+    while changed:
+        changed = False
+        for v, w in arcs:
+            t = tighten_target(spec, values[w], priorities[v])
+            if t < values[v]:
+                values[v] = t
+                changed = True
+    return values
+
+
+def test_worklist_matches_sweep(monkeypatch):
+    # threshold probes (w pinned to its member's minimum leaf, the rest TOP)
+    # and every phase's final sweep from the seeded labeling
+    finals = []
+    real_bf = one_player.bellman_ford
+
+    def capture(sub, labeling, counters=None, on_pass=None):
+        finals.append((sub, labeling.copy()))
+        return real_bf(sub, labeling, counters, on_pass)
+
+    monkeypatch.setattr(one_player, "bellman_ford", capture)
+    rng = random.Random(53)
+    probes = 0
+    for _ in range(25):
+        g = gen_random(rng.randint(2, 40), rng.randint(2, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        sub = strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in g.odd_nodes()})
+        report = find_base_nodes(sub)
+        h = g.d // 2
+        for spec in (TreeSpec.perfect(g.n, h), TreeSpec.succinct(g.n, h),
+                     TreeSpec.strahler(max(1, min(h, g.n.bit_length() - 1)), g.n, h)):
+            strategy_iteration_solve(g, spec, engine="lc", record_phases=False)
+            for w in report.base_nodes:
+                jn = sorted(report.j_nodes[w])
+                arcs = sorted((u, x) for u in jn for x in report.j_succ[w][u])
+                j = g.priorities[w] // 2
+                for k in trees.chain_indices(spec, j):
+                    for i in range(trees.chain_length(spec, j, k)):
+                        domain = trees.chain_member_spec(spec, j, k, i)
+                        start = dict.fromkeys(jn, TOP)
+                        start[w] = trees.min_leaf(domain)
+                        got = _bf(dict(start), arcs, g.priorities, domain)
+                        assert got == _sweep(start, arcs, g.priorities, domain)
+                        probes += 1
+    assert probes > 500 and len(finals) > 100
+    for sub, nu in finals:
+        want = _sweep(list(nu.values), sorted(sub.arcs()), sub.priorities, nu.spec)
+        assert real_bf(sub, nu).values == want
+
+
+def test_bf_runs_pinned(monkeypatch):
+    # the number of Bellman-Ford runs depends on the thresholds, not on the
+    # order in which a run examines arcs: 183 here, as with a fixed-order sweep
+    made = []
+
+    class Recording(Counters):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(one_player, "Counters", Recording)
+    g = gen_random(120, 6, 3, seed=11)
+    res = strategy_iteration_solve(g, TreeSpec.strahler(3, g.n, 3), record_phases=False)
+    assert res.phases == 5
+    assert made[0].bf_runs == 183
+    assert made[0].drops == res.drops
+
+
+def test_bf_walk_longer_than_nodes():
+    # a threshold probe on J_w (7 nodes) of this game whose fixed point needs
+    # a 7-arc walk through the label-lowering cycle 0 -> 3 -> 0, one more
+    # than nodes - 1; the worklist must run past that to an empty frontier
+    spec = TreeSpec.perfect(10, 3)
+    arcs = [(0, 0), (0, 3), (0, 7), (1, 1), (1, 3), (1, 6), (2, 4), (3, 0),
+            (4, 1), (4, 7), (6, 0), (6, 6), (6, 7), (7, 2)]
+    prio = gen_random(10, 8, 3, seed=667637309).priorities
+    start = dict.fromkeys((0, 2, 3, 4, 6, 7), TOP)
+    start[1] = (0, 0, 0)
+    rounds = []
+    got = _bf(dict(start), arcs, prio, spec, on_pass=lambda vals: rounds.append(1))
+    assert got == _sweep(dict(start), arcs, prio, spec)
+    assert got[6] == (0, 0, 1) and len(rounds) == 8
 
 
 def test_arc_costs_worked_perfect(worked, p32):
@@ -226,23 +316,32 @@ def test_compute_phi_properties(worked):
 
 
 def test_dijkstra_worked(worked, p32):
+    # the label-setting engine needs capacity >= n; below it, UsageError
+    p52 = TreeSpec.perfect(5, 2)
     sub = worked_sub(worked)
-    nu = NodeLabeling.all_top(p32, worked.n)
+    nu = NodeLabeling.all_top(p52, worked.n)
     nu[D] = (0, 0)
     base = find_base_nodes(sub).base_nodes
     out = dijkstra(sub, nu, base)
     assert out.values == [(0, 1), (0, 2), (1, 0), (0, 0), (1, 0)]
-    allt = dijkstra(sub, NodeLabeling.all_top(p32, worked.n), base)
+    allt = dijkstra(sub, NodeLabeling.all_top(p52, worked.n), base)
     assert all(x is TOP for x in allt.values)
+    small = NodeLabeling.all_top(p32, worked.n)
+    small[D] = (0, 0)
+    with pytest.raises(UsageError):
+        dijkstra(sub, small, base)
 
 
 def test_lfp_perfect_worked(worked, p32):
+    p52 = TreeSpec.perfect(5, 2)
     sub = worked_sub(worked)
-    mu = NodeLabeling.all_min(p32, worked.n)
-    out = least_fixed_point_perfect(sub, mu, p32)
+    mu = NodeLabeling.all_min(p52, worked.n)
+    out = least_fixed_point_perfect(sub, mu, p52)
     assert out.values == [(0, 1), (0, 2), (1, 0), (0, 0), (1, 0)]
     with pytest.raises(UsageError):
         least_fixed_point_perfect(sub, mu, TreeSpec.succinct(3, 2))
+    with pytest.raises(UsageError):
+        least_fixed_point_perfect(sub, NodeLabeling.all_min(p32, worked.n), p32)
 
 
 def test_engines_agree_random():

@@ -149,6 +149,26 @@ def test_race_naive_flag(worked, p32):
     assert res.even_wins == (C, D, E)
 
 
+def test_race_naive_random():
+    # every phase of the label-correcting engine equals naive lifting on all
+    # three trees, at capacity n and below it; d <= 6 because naive lifting
+    # on a height-4 perfect tree of capacity 40 alone takes ~20 s
+    rng = random.Random(29)
+    # a game whose threshold probes need more worklist rounds than J_w has nodes
+    games = [gen_random(10, 8, 3, seed=667637309)]
+    for _ in range(30):
+        games.append(gen_random(rng.randint(2, 40), rng.randint(1, 6), 3,
+                                seed=rng.randint(0, 10 ** 9)))
+    for g in games:
+        h = g.d // 2 or 1
+        for cap in (g.n, max(2, g.n // 3)):
+            specs = [TreeSpec.perfect(cap, h), TreeSpec.succinct(cap, h),
+                     TreeSpec.strahler(max(1, min(h, cap.bit_length() - 1)), cap, h)]
+            for spec in specs:
+                strategy_iteration_solve(g, spec, engine="lc", race_naive=True,
+                                         record_phases=False)
+
+
 def test_engine_overrides(worked, p32, s32):
     p52 = TreeSpec.perfect(worked.n, 2)
     by_lc = strategy_iteration_solve(worked, p52, engine="lc")
