@@ -1,6 +1,10 @@
 """Command line interface: solve, verify, gen, bench, export-mpg.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage/format errors.
+Exit codes: 0 success, 1 verification mismatch (``verify`` only), 2 usage or
+format errors (``error:``) and internal errors (``internal error:``).  A
+broken solver invariant, such as a ``--race-naive`` disagreement between the
+engine and the naive lifting oracle, is a fault of the solver rather than a
+mismatch of the input, so it exits 2.
 All randomised behaviour takes explicit seeds, and repeated invocations with
 the same arguments produce byte-identical stdout apart from wall-time fields.
 """

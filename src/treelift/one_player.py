@@ -470,13 +470,15 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
 def compute_phi(sub, base_nodes, up_to=None):
     """Per even priority p: a topological index on H_p (H = the subgraph with
     all out-arcs of ``base_nodes`` removed): 0 above priority p, otherwise
-    constant exactly on SCCs and nonincreasing along reachability."""
+    constant exactly on SCCs and nonincreasing along reachability.
+
+    H has an even cycle exactly when some node of an even priority p lies on
+    a cycle of H_p, i.e. in a cyclic SCC of H_p; that raises
+    ``InvariantError`` (too few base nodes were given)."""
     n = sub.n
     prio = sub.priorities
     blocked = set(base_nodes)
     hsucc = [(() if v in blocked else sub.succ[v]) for v in range(n)]
-    if _base_nodes_only(n, hsucc, prio):
-        raise InvariantError("H still contains an even cycle")
     d = max(prio)
     d += d % 2
     if up_to is not None:
@@ -491,6 +493,9 @@ def compute_phi(sub, base_nodes, up_to=None):
         for rank, comp in enumerate(comps, start=1):
             for v in comp:
                 val[v] = rank
+            if ((len(comp) > 1 or comp[0] in hsucc[comp[0]])
+                    and any(prio[v] == p for v in comp)):
+                raise InvariantError("H still contains an even cycle")
         phi[p] = val
     return phi
 

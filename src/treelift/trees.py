@@ -71,7 +71,7 @@ def is_top(label) -> bool:
     return label is TOP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeSpec:
     """Description of one universal tree.
 
@@ -80,6 +80,11 @@ class TreeSpec:
     public constructors enforce ``1 <= g <= min(height, floor(log2 capacity))``
     but the dataclass itself admits the degenerate parameters (g = 0, tiny
     capacities) that arise for internal chain-member value domains.
+
+    Specs are equal when their fields are.  A spec is part of the key of
+    ``tighten_target``'s cache, so equality tests identity first and
+    otherwise compares one stored field tuple.  The hash is not stored:
+    string hashes differ between processes, and a spec may be pickled.
     """
 
     kind: str
@@ -99,6 +104,18 @@ class TreeSpec:
                 raise UsageError("strahler_g must lie in [0, height]")
         elif self.strahler_g != 0:
             raise UsageError(f"strahler_g is only valid for {STRAHLER} trees")
+        object.__setattr__(self, "_key",
+                           (self.kind, self.capacity, self.height, self.strahler_g))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     # -- constructors enforcing the user-facing invariants -----------------
 

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+from treelift import one_player, solver
 from treelift.cli import bench_report, main
 from treelift.errors import UsageError
+from treelift.labeling import NodeLabeling
+from treelift.trees import TOP
 
 from .conftest import WORKED_TEXT
 
@@ -154,3 +157,27 @@ def test_main_inprocess(worked_path, capsys):
     assert main(["solve", worked_path, "--tree", "strahler"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["winners"]["even"] == ["C", "D", "E"]
+
+
+def test_engine_loose_arc_is_internal_error(worked_path, monkeypatch, capsys):
+    # a loose arc in the engine's output is a fault of the solver, not of the
+    # input: exit 2 with "internal error:", not "error:"
+    def loose(sub, mu, spec, counters=None):
+        # C -> E is loose: TOP above the tight value against E's leaf
+        return NodeLabeling(spec, [TOP, TOP, TOP, TOP, (0, 0)])
+
+    monkeypatch.setattr(one_player, "least_fixed_point_perfect", loose)
+    assert main(["solve", worked_path]) == 2
+    err = capsys.readouterr().err
+    assert err == "internal error: phase labeling has a loose arc 2->4\n"
+
+
+def test_race_naive_disagreement_exits_2(worked_path, monkeypatch, capsys):
+    # a disagreement with the naive oracle is a solver fault (exit 2), not a
+    # verification mismatch of the input (exit 1 is for `verify`)
+    monkeypatch.setattr(solver, "naive_lfp",
+                        lambda sub, mu, spec: NodeLabeling.all_top(spec, sub.n))
+    assert main(["solve", worked_path, "--race-naive"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and "naive lifting oracle" in err

@@ -3,14 +3,16 @@ import random
 import subprocess
 import sys
 from math import inf
+from types import SimpleNamespace
 
 import pytest
 
 from treelift import one_player, trees
-from treelift.errors import UsageError
+from treelift.errors import InvariantError, UsageError
 from treelift.game import gen_random, parse_pgsolver, strategy_subgraph
 from treelift.labeling import NodeLabeling
-from treelift.one_player import (Counters, _bf, arc_costs_generic,
+from treelift.one_player import (Counters, _base_nodes_only, _bf,
+                                 arc_costs_generic,
                                  arc_costs_succinct, bellman_ford,
                                  build_auxiliary_digraph,
                                  compute_phi, dijkstra, find_base_nodes,
@@ -313,6 +315,38 @@ def test_compute_phi_properties(worked):
     assert phi[2][B] >= phi[2][A]
     assert phi[2][B] != phi[2][A]  # not strongly connected
     assert phi[2][E] > 0
+
+
+def test_compute_phi_rejects_missing_base_nodes(worked):
+    # C -> D -> E -> C is an even cycle (max priority 4) of the subgraph
+    sub = worked_sub(worked)
+    with pytest.raises(InvariantError, match="even cycle"):
+        compute_phi(sub, ())
+    compute_phi(sub, find_base_nodes(sub).base_nodes)
+
+
+def test_compute_phi_even_cycle_check_matches_base_nodes():
+    # compute_phi reads the even-cycle check off its own SCCs of H_p; it must
+    # raise exactly when the repeated-SCC base-node search finds a base node
+    rng = random.Random(2718)
+    raised = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        prio = tuple(rng.randint(1, rng.randint(1, 8)) for _ in range(n))
+        succ = tuple(tuple(sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))}))
+                     for _ in range(n))
+        sub = SimpleNamespace(n=n, priorities=prio, succ=succ)
+        base = _base_nodes_only(n, succ, prio)
+        try:
+            compute_phi(sub, ())
+        except InvariantError:
+            assert base
+            raised += 1
+        else:
+            assert not base
+        # blocking every base node breaks every even cycle
+        compute_phi(sub, base)
+    assert 500 < raised < 1500
 
 
 def test_dijkstra_worked(worked, p32):

@@ -1,9 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from treelift import trees
-from treelift.errors import UsageError
+from treelift import one_player, trees
+from treelift.errors import InvariantError, UsageError
 from treelift.game import gen_random, parse_pgsolver
 from treelift.labeling import NodeLabeling, progress_measure_solve
 from treelift.oracle import zielonka_solve
@@ -183,3 +186,108 @@ def test_engine_overrides(worked, p32, s32):
     for engine in ("perfect", "dijkstra"):
         with pytest.raises(UsageError):
             strategy_iteration_solve(worked, p32, engine=engine)
+
+
+class _CheckedRule:
+    """Delegates to ``rule`` after checking the admissible list it is handed."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = 0
+
+    def select(self, game, labeling, admissible, rng=None):
+        assert admissible == admissible_arcs(game, labeling)
+        self.calls += 1
+        return self.rule.select(game, labeling, admissible)
+
+
+def test_loop_hands_rule_the_admissible_arcs():
+    # the per-phase arc pass returns exactly admissible_arcs, in its order
+    rng = random.Random(41)
+    calls = 0
+    for _ in range(20):
+        g = gen_random(rng.randint(2, 30), rng.randint(1, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        h = g.d // 2 or 1
+        specs = [TreeSpec.perfect(g.n, h), TreeSpec.succinct(g.n, h),
+                 TreeSpec.strahler(max(1, min(h, g.n.bit_length() - 1)), g.n, h)]
+        for spec in specs:
+            for rule in (SwitchAll(), SwitchFirst(), SwitchRandom(5)):
+                checked = _CheckedRule(rule)
+                res = strategy_iteration_solve(g, spec, rule=checked,
+                                               record_phases=False)
+                assert checked.calls == res.phases - 1
+                calls += checked.calls
+    assert calls > 100
+
+
+# Odd node 0 -> 1, Even node 1 with a self-loop at priority 2, Even node
+# 2 -> 1.  On the perfect tree of capacity 3 and height 1 the fixed point is
+# [(1,), (0,), (1,)] and no arc is admissible.
+_FAULT_GAME = """parity 2;
+0 1 1 1;
+1 2 0 1;
+2 1 0 1;
+"""
+
+# (labels the engine returns, the fault the phase check must report)
+_FAULTS = (
+    (("top", (1,), "top"), "loose arc"),
+    (((0,), (0,), (1,)), "violates strategy arc 0->1"),
+    (((1,), (0,), (0,)), "even node 2 without a tight arc"),
+)
+
+
+def _solve_with_faulty_engine(labels):
+    game = parse_pgsolver(_FAULT_GAME)
+    spec = TreeSpec.perfect(3, 1)
+    values = [TOP if lab == "top" else lab for lab in labels]
+    fault = lambda sub, mu, spec, counters=None: NodeLabeling(spec, values)
+    saved = one_player.least_fixed_point_perfect
+    one_player.least_fixed_point_perfect = fault
+    try:
+        strategy_iteration_solve(game, spec)
+    finally:
+        one_player.least_fixed_point_perfect = saved
+
+
+def test_fault_game_fixed_point():
+    res = strategy_iteration_solve(parse_pgsolver(_FAULT_GAME), TreeSpec.perfect(3, 1))
+    assert res.labeling.values == [(1,), (0,), (1,)]
+    assert res.phases == 1
+
+
+@pytest.mark.parametrize("labels,message", _FAULTS)
+def test_phase_check_rejects_faulty_engine_output(labels, message):
+    with pytest.raises(InvariantError, match=message):
+        _solve_with_faulty_engine(labels)
+
+
+_OPTIMIZED_PHASE_CHECK = """
+import sys
+from tests import test_solver
+from treelift.errors import InvariantError
+
+if __debug__:
+    sys.exit(3)
+for labels, message in test_solver._FAULTS:
+    try:
+        test_solver._solve_with_faulty_engine(labels)
+    except InvariantError as exc:
+        if message not in str(exc):
+            sys.exit(4)
+    else:
+        sys.exit(1)
+sys.exit(0)
+"""
+
+
+def test_phase_check_survives_python_O():
+    # the per-phase arc pass raises InvariantError even when the interpreter
+    # strips asserts and __debug__ blocks
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(trees.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PHASE_CHECK],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,9 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +221,59 @@ def test_spec_validation():
         TreeSpec.perfect(0, 2)
     spec = TreeSpec.strahler(2, 8, 3)
     assert spec.bits == 3
+
+
+def test_spec_equality_by_value():
+    a, b = TreeSpec.strahler(2, 8, 3), TreeSpec.strahler(2, 8, 3)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != ("strahler", 8, 3, 2)
+    assert ("strahler", 8, 3, 2) != a
+    assert a != dataclasses.astuple(a)
+    for other in (dataclasses.replace(a, capacity=9), dataclasses.replace(a, height=4),
+                  dataclasses.replace(a, strahler_g=1)):
+        assert a != other and not a == other
+    assert TreeSpec.perfect(8, 3) != TreeSpec.succinct(8, 3)
+
+
+def test_spec_value_api():
+    spec = TreeSpec.strahler(2, 8, 3)
+    assert repr(spec) == "TreeSpec(kind='strahler', capacity=8, height=3, strahler_g=2)"
+    assert dataclasses.replace(spec, capacity=16) == TreeSpec.strahler(2, 16, 3)
+    assert spec.as_dict() == {"kind": "strahler", "capacity": 8, "height": 3,
+                               "strahler_g": 2}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.capacity = 9
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec)
+
+
+def test_spec_pickled_in_another_process():
+    # string hashes are salted per process: an unpickled spec must hash by
+    # its fields in this process, not carry the other process's hash
+    src = os.path.dirname(os.path.dirname(trees.__file__))
+    code = ("import pickle, sys; from treelift.trees import TreeSpec; "
+            "sys.stdout.write(pickle.dumps(TreeSpec.succinct(8, 3)).hex())")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    spec = pickle.loads(bytes.fromhex(proc.stdout))
+    assert spec == TreeSpec.succinct(8, 3)
+    assert hash(spec) == hash(TreeSpec.succinct(8, 3))
+    assert {TreeSpec.succinct(8, 3): 1}[spec] == 1
+
+
+def test_equal_spec_reuses_tighten_cache():
+    from treelift.game import gen_random
+    from treelift.solver import strategy_iteration_solve
+
+    game = gen_random(30, 6, 3, seed=11)
+    for make in (lambda: TreeSpec.perfect(30, 3), lambda: TreeSpec.succinct(30, 3),
+                 lambda: TreeSpec.strahler(2, 30, 3)):
+        first = strategy_iteration_solve(game, make(), engine="lc")
+        misses = tighten_target.cache_info().misses
+        second = strategy_iteration_solve(game, make(), engine="lc")
+        assert tighten_target.cache_info().misses == misses
+        assert second.labeling.values == first.labeling.values
