@@ -14,13 +14,12 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from math import inf
 
 from . import trees
 from .errors import InvariantError, UsageError
-from .labeling import ArcStatus, NodeLabeling, arc_status
+from .labeling import NodeLabeling
 from .trees import TOP, TreeSpec, tighten_target
 
 INF = inf
@@ -39,49 +38,60 @@ class Counters:
 # ---------------------------------------------------------------------------
 
 
-def strongly_connected(nodes, succ_of):
-    """SCCs of the subgraph induced by ``nodes``; components are emitted in
-    reverse topological order of the condensation (sinks first)."""
-    nodes = list(nodes)
-    index, low = {}, {}
-    on_stack = set()
+def strongly_connected(nodes, succ):
+    """SCCs of the digraph on ``nodes`` (a sequence of small non-negative
+    ints) with arcs ``v -> w`` for ``w`` in ``succ[v]``.  Every listed head
+    must lie in ``nodes``: callers pass adjacency lists already restricted to
+    the subgraph.  Components are emitted in reverse topological order of the
+    condensation (sinks first), each in the order the stack pops it."""
+    size = max(nodes, default=-1) + 1
+    index = [0] * size      # DFS number from 1; 0 = unvisited
+    low = [0] * size
+    done = size + 1         # index of a node already in a component
     stack, comps = [], []
-    counter = itertools.count()
+    counter = 0
     for root in nodes:
-        if root in index:
+        if index[root]:
             continue
-        index[root] = low[root] = next(counter)
+        counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ_of(root)))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
+                iw = index[w]
+                if not iw:
+                    counter += 1
+                    index[w] = low[w] = counter
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ_of(w))))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                if iw < low[v]:  # on the stack: finished nodes read `done`
+                    low[v] = iw
+            else:
+                work.pop()
+                lv = low[v]
+                if work:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                if lv == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
+
+
+def _induced_sccs(nodes, succ):
+    """``strongly_connected`` on the subgraph of ``succ`` induced by ``nodes``."""
+    keep = set(nodes)
+    return strongly_connected(nodes, {v: [w for w in succ[v] if w in keep] for v in nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -103,46 +113,48 @@ class BaseNodeReport:
     j_tops: dict = field(compare=False)
 
 
-def _base_nodes_only(n, succ, priorities):
-    alive = set(range(n))
-    base = []
-    while alive:
-        comps = strongly_connected(
-            sorted(alive), lambda v: (w for w in succ[v] if w in alive)
-        )
-        drop = []
-        for comp in comps:
+def _base_components(n, succ, priorities):
+    """Base nodes by repeated SCC decomposition: the tops (nodes of maximum
+    priority) of every SCC are removed, and only the survivors of a
+    nontrivial SCC are decomposed again, each group on its own.  A base node
+    is a top of a cyclic SCC whose maximum priority is even.
+
+    Returns {w: K} in increasing order of w, where K is the SCC in which w was
+    removed.  K is w's SCC among the nodes of priority <= pi(w): that SCC is
+    strongly connected with no node above pi(w), so every decomposition keeps
+    it inside one SCC and removes none of its nodes before w is a top."""
+    found = {}
+    groups = [range(n)]
+    while groups:
+        for comp in _induced_sccs(groups.pop(), succ):
+            if len(comp) == 1:
+                v = comp[0]
+                if priorities[v] % 2 == 0 and v in succ[v]:
+                    found[v] = comp
+                continue
             p = max(priorities[v] for v in comp)
-            tops = [v for v in comp if priorities[v] == p]
-            cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
-            if p % 2 == 0 and cyclic:
-                base.extend(tops)
-            drop.extend(tops)
-        alive.difference_update(drop)
-    return sorted(base)
+            rest = [v for v in comp if priorities[v] != p]
+            if p % 2 == 0:
+                for v in comp:
+                    if priorities[v] == p:
+                        found[v] = comp
+            if rest:
+                groups.append(rest)
+    return dict(sorted(found.items()))
 
 
 def find_base_nodes(sub) -> BaseNodeReport:
     """Detect all dominators of even cycles by repeated SCC decomposition and
-    build, for each, the subgraph its width search runs on."""
-    n = sub.n
-    prio = sub.priorities
-    base = _base_nodes_only(n, sub.succ, prio)
+    build, for each, the subgraph its width search runs on.
 
-    k_comp = {}
-    for p in sorted({prio[w] for w in base}):
-        nodes_p = [v for v in range(n) if prio[v] <= p]
-        comps = strongly_connected(
-            nodes_p, lambda v: (w for w in sub.succ[v] if prio[w] <= p)
-        )
-        comp_of = {}
-        for comp in comps:
-            cs = frozenset(comp)
-            for v in comp:
-                comp_of[v] = cs
-        for w in base:
-            if prio[w] == p:
-                k_comp[w] = comp_of[w]
+    ``k_comp[w]``, w's SCC among nodes of priority <= pi(w), is the component
+    in which the decomposition removes w as a top, so it costs no further
+    SCC pass."""
+    prio = sub.priorities
+    comps = _base_components(sub.n, sub.succ, prio)
+    frozen = {id(K): frozenset(K) for K in comps.values()}  # one per component
+    k_comp = {w: frozen[id(K)] for w, K in comps.items()}
+    base = list(k_comp)
 
     j_nodes, j_succ, j_tops = {}, {}, {}
     for w in base:
@@ -189,7 +201,7 @@ def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
     adj = {v: [] for v in report.base_nodes}
     for v, w in arcs:
         adj[v].append(w)
-    comps = strongly_connected(report.base_nodes, lambda v: adj[v])
+    comps = strongly_connected(report.base_nodes, adj)
     comp_of = {}
     for i, comp in enumerate(comps):
         for v in comp:
@@ -206,18 +218,31 @@ def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
 # ---------------------------------------------------------------------------
 
 
-def _bf(values, arcs, priorities, spec, counters=None, on_pass=None):
-    """Drop tail labels over ``arcs`` to the greatest fixed point below
-    ``values`` (mutated) with a round-based FIFO worklist: round one
-    examines the in-arcs of every non-TOP head, each later round only the
-    in-arcs of the tails that dropped in the round before, in first-drop
-    order.  Drop is monotone in the head label, so any fair order reaches
-    the fixed point of the fixed-order sweep over every arc.  Every write
-    strictly lowers a label in a finite tree, so the frontier empties."""
-    in_arcs = {}
-    for v, w in arcs:
-        in_arcs.setdefault(w, []).append((v, priorities[v]))
-    frontier = [w for w in sorted(in_arcs) if values[w] is not TOP]
+def _in_arcs(adjacency, priorities):
+    """{head: [(tail, priority of tail), ...]} for ``_bf`` from (tail, heads)
+    pairs in increasing tail order: heads in increasing order, each head's
+    tails in increasing order, as in a sorted arc list."""
+    out = {}
+    for v, heads in adjacency:
+        entry = (v, priorities[v])
+        for w in heads:
+            if w in out:
+                out[w].append(entry)
+            else:
+                out[w] = [entry]
+    return {w: out[w] for w in sorted(out)}
+
+
+def _bf(values, in_arcs, spec, counters=None, on_pass=None):
+    """Drop tail labels over the arcs ``in_arcs`` lists (see ``_in_arcs``) to
+    the greatest fixed point below ``values`` (mutated) with a round-based
+    FIFO worklist: round one examines the in-arcs of every non-TOP head in
+    increasing order, each later round only the in-arcs of the tails that
+    dropped in the round before, in first-drop order.  Drop is monotone in
+    the head label, so any fair order reaches the fixed point of the
+    fixed-order sweep over every arc.  Every write strictly lowers a label in
+    a finite tree, so the frontier empties."""
+    frontier = [w for w in in_arcs if values[w] is not TOP]
     drops = 0
     while frontier:
         dropped = {}
@@ -242,10 +267,9 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None, on_pass=None) -> No
     below ``labeling`` with the worklist of ``_bf``: each round examines only
     the in-arcs of the labels that dropped in the round before."""
     out = labeling.copy()
-    arcs = sorted(sub.arcs())
     if counters is not None:
         counters.bf_runs += 1
-    _bf(out.values, arcs, sub.priorities, out.spec, counters, on_pass)
+    _bf(out.values, _in_arcs(enumerate(sub.succ), sub.priorities), out.spec, counters, on_pass)
     return out
 
 
@@ -263,7 +287,7 @@ def _thresholds(report, w, j, k, spec, prio, counters=None):
     the number of Bellman-Ford probes is one more than the largest finite
     threshold (the whole chain length when some threshold is INF)."""
     jn = sorted(report.j_nodes[w])
-    arcs = sorted((u, x) for u in jn for x in report.j_succ[w][u])
+    in_arcs = _in_arcs(report.j_succ[w].items(), prio)
     out = dict.fromkeys(jn, INF)
     pending = set(jn)
     for i in range(trees.chain_length(spec, j, k)):
@@ -274,7 +298,7 @@ def _thresholds(report, w, j, k, spec, prio, counters=None):
         values[w] = trees.min_leaf(domain)
         if counters is not None:
             counters.bf_runs += 1
-        _bf(values, arcs, prio, domain, counters)
+        _bf(values, in_arcs, domain, counters)
         fin = {u for u in pending if values[u] is not TOP}
         for u in fin:
             out[u] = i
@@ -307,12 +331,12 @@ def arc_costs_succinct(sub, report, aux: AuxiliaryDigraph, w, spec, counters=Non
     B = spec.bits
     domain = trees.chain_member_spec(spec, j, 0, B)
     jn = sorted(report.j_nodes[w])
-    arcs = sorted((u, x) for u in jn for x in report.j_succ[w][u])
+    in_arcs = _in_arcs(report.j_succ[w].items(), sub.priorities)
     values = {u: TOP for u in jn}
     values[w] = trees.min_leaf(domain)
     if counters is not None:
         counters.bf_runs += 1
-    _bf(values, arcs, sub.priorities, domain, counters)
+    _bf(values, in_arcs, domain, counters)
     costs = {}
     for v in sorted(report.j_tops[w]):
         outs = report.j_succ[w][v]
@@ -356,7 +380,7 @@ def min_bottleneck_cycle_costs(comp, costs):
                     adj[v].append(w)
                     if v == w:
                         loops.add(v)
-            for K in strongly_connected(sorted(nodes), lambda v: adj[v]):
+            for K in strongly_connected(sorted(nodes), adj):
                 if len(K) > 1 or K[0] in loops:
                     for v in K:
                         out[v] = c0
@@ -366,7 +390,7 @@ def min_bottleneck_cycle_costs(comp, costs):
         adj = {v: [] for v in nodes}
         for v, w, _ in low:
             adj[v].append(w)
-        comps = strongly_connected(sorted(nodes), lambda v: adj[v])
+        comps = strongly_connected(sorted(nodes), adj)
         comp_of = {}
         for i, K in enumerate(comps):
             for v in K:
@@ -403,9 +427,17 @@ def min_bottleneck_cycle_costs(comp, costs):
 
 
 def require_no_loose(sub, mu: NodeLabeling) -> None:
-    for v, w in sub.arcs():
-        if arc_status(sub, mu, v, w) == ArcStatus.LOOSE:
-            raise UsageError(f"labeling has a loose arc {v}->{w}")
+    """Raise ``UsageError`` at the first arc of ``sub`` (in tail, then
+    successor order) whose tail label is above its tight value."""
+    spec, values, prio = mu.spec, mu.values, sub.priorities
+    for v, outs in enumerate(sub.succ):
+        p, lab = prio[v], values[v]
+        for w in outs:
+            # arc_status's comparisons, inlined: the call and the enum would
+            # cost more than the check itself
+            target = tighten_target(spec, values[w], p)
+            if not (lab is target or lab == target or lab < target):
+                raise UsageError(f"labeling has a loose arc {v}->{w}")
 
 
 def _floor_value(spec, leaf, j):
@@ -469,8 +501,16 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
 
 def compute_phi(sub, base_nodes, up_to=None):
     """Per even priority p: a topological index on H_p (H = the subgraph with
-    all out-arcs of ``base_nodes`` removed): 0 above priority p, otherwise
-    constant exactly on SCCs and nonincreasing along reachability.
+    all out-arcs of ``base_nodes`` removed, H_p its nodes of priority <= p):
+    0 above priority p, otherwise constant exactly on SCCs and nonincreasing
+    along reachability.
+
+    One SCC pass over H ranks its SCCs in Tarjan's order (sinks first).  Below
+    that, phi[p] ranks the pairs (phi[p + 2], rank inside the group), where
+    each SCC of H_{p+2} that loses a node is split by one pass over its
+    nodes of priority <= p (an acyclic one is a single node, so it only
+    stays or goes).  Every cycle of H_p lies in one SCC of H_{p+2}, and every
+    path of H_p is one of H_{p+2}, so the pairs keep both properties.
 
     H has an even cycle exactly when some node of an even priority p lies on
     a cycle of H_p, i.e. in a cyclic SCC of H_p; that raises
@@ -479,25 +519,33 @@ def compute_phi(sub, base_nodes, up_to=None):
     prio = sub.priorities
     blocked = set(base_nodes)
     hsucc = [(() if v in blocked else sub.succ[v]) for v in range(n)]
-    d = max(prio)
-    d += d % 2
-    if up_to is not None:
-        d = max(d, up_to)
+    top = max(prio)
+    top += top % 2
+    d = top if up_to is None else max(top, up_to)
+    # the SCCs of H_p in rank order, each with whether it has a cycle; for
+    # p >= top, H_p is H
+    level = [(comp, len(comp) > 1 or comp[0] in hsucc[comp[0]])
+             for comp in strongly_connected(range(n), hsucc)]
     phi = {}
-    for p in range(2, d + 1, 2):
-        nodes_p = [v for v in range(n) if prio[v] <= p]
-        comps = strongly_connected(
-            nodes_p, lambda v: (w for w in hsucc[v] if prio[w] <= p)
-        )
+    for p in range(d, 1, -2):
+        if p < top:
+            split = []
+            for comp, cyclic in level:
+                keep = [v for v in comp if prio[v] <= p]
+                if len(keep) == len(comp):
+                    split.append((comp, cyclic))   # whole in H_p: still one SCC
+                elif keep:
+                    split.extend((c, len(c) > 1 or c[0] in hsucc[c[0]])
+                                 for c in _induced_sccs(keep, hsucc))
+            level = split
         val = [0] * n
-        for rank, comp in enumerate(comps, start=1):
+        for rank, (comp, cyclic) in enumerate(level, start=1):
             for v in comp:
                 val[v] = rank
-            if ((len(comp) > 1 or comp[0] in hsucc[comp[0]])
-                    and any(prio[v] == p for v in comp)):
+            if cyclic and any(prio[v] == p for v in comp):
                 raise InvariantError("H still contains an even cycle")
         phi[p] = val
-    return phi
+    return dict(sorted(phi.items()))
 
 
 def _potential(spec, phi, values, v, d):
@@ -578,7 +626,7 @@ def least_fixed_point_perfect(sub, mu: NodeLabeling, spec: TreeSpec,
     if spec.kind != trees.PERFECT:
         raise UsageError("least_fixed_point_perfect requires a perfect tree")
     require_no_loose(sub, mu)
-    base = _base_nodes_only(sub.n, sub.succ, sub.priorities)
+    base = list(_base_components(sub.n, sub.succ, sub.priorities))
     mu2 = mu.copy()
     for v in base:
         targets = [tighten_target(spec, mu2[w], sub.priorities[v]) for w in sub.succ[v]]

@@ -11,7 +11,7 @@ from treelift import one_player, trees
 from treelift.errors import InvariantError, UsageError
 from treelift.game import gen_random, parse_pgsolver, strategy_subgraph
 from treelift.labeling import NodeLabeling
-from treelift.one_player import (Counters, _base_nodes_only, _bf,
+from treelift.one_player import (Counters, _base_components, _bf, _in_arcs,
                                  arc_costs_generic,
                                  arc_costs_succinct, bellman_ford,
                                  build_auxiliary_digraph,
@@ -20,7 +20,8 @@ from treelift.one_player import (Counters, _base_nodes_only, _bf,
                                  least_fixed_point_perfect,
                                  min_bottleneck_cycle_costs)
 from treelift.oracle import naive_lfp
-from treelift.solver import strategy_iteration_solve
+from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom,
+                             strategy_iteration_solve)
 from treelift.trees import TOP, TreeSpec, tighten_target
 
 from .conftest import WORKED_TAU, WORKED_TEXT
@@ -155,7 +156,8 @@ def test_worklist_matches_sweep(monkeypatch):
                         domain = trees.chain_member_spec(spec, j, k, i)
                         start = dict.fromkeys(jn, TOP)
                         start[w] = trees.min_leaf(domain)
-                        got = _bf(dict(start), arcs, g.priorities, domain)
+                        got = _bf(dict(start), _in_arcs(report.j_succ[w].items(), g.priorities),
+                                  domain)
                         assert got == _sweep(start, arcs, g.priorities, domain)
                         probes += 1
     assert probes > 500 and len(finals) > 100
@@ -193,7 +195,11 @@ def test_bf_walk_longer_than_nodes():
     start = dict.fromkeys((0, 2, 3, 4, 6, 7), TOP)
     start[1] = (0, 0, 0)
     rounds = []
-    got = _bf(dict(start), arcs, prio, spec, on_pass=lambda vals: rounds.append(1))
+    adjacency = {}
+    for v, w in arcs:
+        adjacency.setdefault(v, []).append(w)
+    got = _bf(dict(start), _in_arcs(sorted(adjacency.items()), prio), spec,
+              on_pass=lambda vals: rounds.append(1))
     assert got == _sweep(dict(start), arcs, prio, spec)
     assert got[6] == (0, 0, 1) and len(rounds) == 8
 
@@ -304,6 +310,15 @@ def test_lfp_lc_rejects_loose(worked, p32):
         least_fixed_point_lc(sub, loose, p32)
 
 
+def test_lfp_perfect_rejects_loose(worked):
+    p52 = TreeSpec.perfect(5, 2)
+    sub = worked_sub(worked)
+    loose = NodeLabeling.all_min(p52, worked.n)
+    loose[A] = (2, 2)  # above every target of A's arcs
+    with pytest.raises(UsageError, match="labeling has a loose arc 0->3"):
+        least_fixed_point_perfect(sub, loose, p52)
+
+
 def test_compute_phi_properties(worked):
     sub = worked_sub(worked)
     phi = compute_phi(sub, find_base_nodes(sub).base_nodes)
@@ -336,7 +351,7 @@ def test_compute_phi_even_cycle_check_matches_base_nodes():
         succ = tuple(tuple(sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))}))
                      for _ in range(n))
         sub = SimpleNamespace(n=n, priorities=prio, succ=succ)
-        base = _base_nodes_only(n, succ, prio)
+        base = list(_base_components(n, succ, prio))
         try:
             compute_phi(sub, ())
         except InvariantError:
@@ -392,6 +407,29 @@ def test_engines_agree_random():
             assert least_fixed_point_lc(sub, mu, spec) == want
             if spec.kind == trees.PERFECT:
                 assert least_fixed_point_perfect(sub, mu, spec) == want
+
+
+def test_engines_agree_every_phase(monkeypatch):
+    # both engines return the same labeling on every phase of perfect-tree
+    # solves at capacity n, whichever pivot rule produced the phase
+    real = one_player.least_fixed_point_perfect
+    phases = []
+
+    def both(sub, mu, spec, counters=None):
+        out = real(sub, mu, spec, counters)
+        assert one_player.least_fixed_point_lc(sub, mu, spec) == out
+        phases.append(1)
+        return out
+
+    monkeypatch.setattr(one_player, "least_fixed_point_perfect", both)
+    rng = random.Random(606)
+    for i in range(150):
+        g = gen_random(rng.randint(2, 60), rng.randint(1, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        spec = TreeSpec.perfect(g.n, max(g.d // 2, 1))
+        rule = (SwitchAll(), SwitchFirst(), SwitchRandom(i))[i % 3]
+        strategy_iteration_solve(g, spec, rule=rule, engine="perfect", record_phases=False)
+    assert len(phases) > 350
 
 
 def _brute_threshold_label(sub, spec, w, mu):

@@ -1,0 +1,157 @@
+"""The SCC answers of the 1-player engines against networkx: Tarjan's
+components, the base nodes' components ``k_comp`` and the ranks ``phi``."""
+
+import random
+from types import SimpleNamespace
+
+import networkx as nx
+import pytest
+
+from treelift.errors import InvariantError
+from treelift.game import gen_random, strategy_subgraph
+from treelift.one_player import compute_phi, find_base_nodes, strongly_connected
+
+SEED = 90210
+
+
+def _random_digraph(rng):
+    """A small digraph with self-loops and priorities in [1, 8], in the shape
+    of a strategy subgraph (``n``, ``priorities``, ``succ``, ``pred``)."""
+    n = rng.randint(1, 14)
+    prio = tuple(rng.randint(1, rng.randint(1, 8)) for _ in range(n))
+    succ = tuple(tuple(sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))}))
+                 for _ in range(n))
+    pred = [[] for _ in range(n)]
+    for v, outs in enumerate(succ):
+        for w in outs:
+            pred[w].append(v)
+    return SimpleNamespace(n=n, priorities=prio, succ=succ, pred=tuple(map(tuple, pred)))
+
+
+def _graphs(count):
+    """``count`` seeded graphs: half random digraphs, half strategy subgraphs
+    of random games."""
+    rng = random.Random(SEED)
+    for i in range(count):
+        if i % 2:
+            yield _random_digraph(rng)
+        else:
+            g = gen_random(rng.randint(1, 14), rng.randint(1, 8), 3,
+                           seed=rng.randint(0, 10 ** 9))
+            yield strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in g.odd_nodes()})
+
+
+def _digraph(nodes, succ):
+    dig = nx.DiGraph()
+    dig.add_nodes_from(nodes)
+    dig.add_edges_from((v, w) for v in nodes for w in succ[v] if w in nodes)
+    return dig
+
+
+def _is_cyclic(dig, comp):
+    return len(comp) > 1 or dig.has_edge(next(iter(comp)), next(iter(comp)))
+
+
+def _scc_of(dig):
+    """{node: its SCC as a frozenset} by networkx."""
+    out = {}
+    for comp in nx.strongly_connected_components(dig):
+        comp = frozenset(comp)
+        for v in comp:
+            out[v] = comp
+    return out
+
+
+def test_strongly_connected_example_order():
+    # Tarjan from node 0: the sink {3} first, then {1, 2} popped 2 before 1,
+    # then {0}; node 4 is a later root
+    succ = [[1], [2, 3], [1], [], [0]]
+    assert strongly_connected(range(5), succ) == [[3], [2, 1], [0], [4]]
+
+
+def test_strongly_connected_matches_networkx():
+    rng = random.Random(SEED + 1)
+    for sub in _graphs(2000):
+        nodes = [v for v in range(sub.n) if rng.random() < 0.8]
+        rng.shuffle(nodes)
+        keep = set(nodes)
+        adj = {v: [w for w in sub.succ[v] if w in keep] for v in nodes}
+        comps = strongly_connected(nodes, adj)
+        dig = _digraph(keep, sub.succ)
+        assert sorted(map(sorted, comps)) == sorted(
+            map(sorted, nx.strongly_connected_components(dig)))
+        # sinks first: every arc leaves a component for one emitted no later
+        position = {v: i for i, comp in enumerate(comps) for v in comp}
+        for v, w in dig.edges:
+            assert position[w] <= position[v]
+
+
+def test_k_comp_is_scc_below_priority():
+    seen = 0
+    for sub in _graphs(2000):
+        prio = sub.priorities
+        report = find_base_nodes(sub)
+        want = []
+        for w in range(sub.n):
+            low = _digraph({v for v in range(sub.n) if prio[v] <= prio[w]}, sub.succ)
+            comp = _scc_of(low)[w]
+            if prio[w] % 2 == 0 and _is_cyclic(low, comp):
+                want.append(w)
+                assert report.k_comp[w] == comp
+                seen += 1
+        # a base node dominates an even cycle: exactly the nodes checked above
+        assert list(report.base_nodes) == want
+    assert seen > 1000
+
+
+def _check_phi(sub, base, phi, d):
+    prio = sub.priorities
+    blocked = set(base)
+    hsucc = [() if v in blocked else sub.succ[v] for v in range(sub.n)]
+    assert sorted(phi) == list(range(2, d + 1, 2))
+    for p, val in phi.items():
+        nodes = {v for v in range(sub.n) if prio[v] <= p}
+        dig = _digraph(nodes, hsucc)
+        comp_of = _scc_of(dig)
+        for v in range(sub.n):
+            assert (val[v] == 0) == (v not in nodes)
+        # constant exactly on the SCCs of H_p
+        for u in nodes:
+            for v in nodes:
+                assert (val[u] == val[v]) == (comp_of[u] == comp_of[v])
+        # nonincreasing along the arcs of H_p
+        for u, v in dig.edges:
+            assert val[u] >= val[v]
+
+
+def test_compute_phi_ranks_scc_of_each_h_p():
+    rng = random.Random(SEED + 2)
+    for sub in _graphs(2000):
+        base = find_base_nodes(sub).base_nodes
+        top = max(sub.priorities)
+        top += top % 2
+        up_to = rng.choice([None, top, top + 2, top + 4])
+        d = top if up_to is None else max(top, up_to)
+        _check_phi(sub, base, compute_phi(sub, base, up_to=up_to), d)
+
+
+def test_compute_phi_raises_exactly_on_even_cycles():
+    rng = random.Random(SEED + 3)
+    raised = 0
+    for sub in _graphs(2000):
+        prio = sub.priorities
+        blocked = {v for v in range(sub.n) if rng.random() < 0.2}
+        hsucc = [() if v in blocked else sub.succ[v] for v in range(sub.n)]
+        even_cycle = False
+        for p in range(2, max(prio) + 1, 2):
+            dig = _digraph({v for v in range(sub.n) if prio[v] <= p}, hsucc)
+            for comp in nx.strongly_connected_components(dig):
+                if _is_cyclic(dig, comp) and any(prio[v] == p for v in comp):
+                    even_cycle = True
+        if even_cycle:
+            with pytest.raises(InvariantError, match="even cycle"):
+                compute_phi(sub, sorted(blocked))
+            raised += 1
+        else:
+            compute_phi(sub, sorted(blocked))
+    assert 300 < raised < 1700
