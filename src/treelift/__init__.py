@@ -14,11 +14,12 @@ from .game import (EVEN, ODD, MeanPayoffGame, ParityGame, StrategySubgraph,
                    write_pgsolver)
 from .labeling import (ArcStatus, NodeLabeling, arc_status, drop_arc,
                        is_feasible, lift_arc, progress_measure_solve)
-from .one_player import (AuxiliaryDigraph, BaseNodeReport, bellman_ford,
+from .one_player import (AuxiliaryDigraph, BaseNodeReport, Counters, bellman_ford,
                          build_auxiliary_digraph, compute_phi, dijkstra,
                          find_base_nodes, least_fixed_point_lc,
                          least_fixed_point_perfect, min_bottleneck_cycle_costs)
-from .oracle import WinnerPartition, brute_raise, embed_check, naive_lfp, zielonka_solve
+from .oracle import (NaiveRace, WinnerPartition, brute_raise, embed_check, naive_lfp,
+                     zielonka_solve)
 from .solver import (SolveResult, SwitchAll, SwitchFirst, SwitchRandom,
                      admissible_arcs, extract_even_strategy, pivot,
                      strategy_iteration_solve)

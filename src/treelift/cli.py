@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import game as gamemod
-from . import oracle, solver, trees
+from . import one_player, oracle, solver, trees
 from .errors import FormatError, LiftBudgetExceeded, TreeliftError, UsageError
 from .game import ParityGame
 from .trees import TreeSpec
@@ -63,6 +63,31 @@ def _pivot_rule(name: str, seed: int):
     raise UsageError(f"unknown pivot rule {name!r}")
 
 
+class _AuxDump(one_player.Counters):
+    """``--dump-aux``: writes each label-correcting phase's auxiliary arcs to
+    stderr as soon as the engine has their costs, one line per arc with its
+    cost per chain."""
+
+    def __init__(self, game):
+        super().__init__()
+        self.label_of, self.phases = game.label_of, 0
+
+    def aux_costs(self, tables):
+        self.phases += 1
+        print(f"# aux digraph, phase {self.phases}", file=sys.stderr)
+        costs = {}
+        for table in tables:
+            for arc, cost in table.items():
+                costs.setdefault(arc, []).append(cost)
+        for (v, w) in sorted(costs):
+            cs = ", ".join("inf" if c == float("inf") else str(c) for c in costs[(v, w)])
+            print(f"{self.label_of(v)} -> {self.label_of(w)} : [{cs}]", file=sys.stderr)
+
+
+class _RacedAuxDump(_AuxDump, oracle.NaiveRace):
+    """``--dump-aux`` together with ``--race-naive``."""
+
+
 def _solve_one(game, args):
     spec = build_spec(game, args.tree, args.capacity, args.strahler_g)
     if args.algo == "progress":
@@ -85,30 +110,25 @@ def _solve_one(game, args):
             "wall_ms": wall,
             "warnings": [] if spec.capacity >= game.n else
                         [f"tree capacity {spec.capacity} < n = {game.n}"],
-        }, None
-    aux_dump = [] if args.dump_aux else None
+        }
     rule = _pivot_rule(args.pivot, args.seed)
+    # neither flag: None, so that the solver builds its own one_player.Counters,
+    # the class bench/spans.py hooks to read drops and bf_runs
+    if args.dump_aux:
+        counters = _RacedAuxDump(game) if args.race_naive else _AuxDump(game)
+    else:
+        counters = oracle.NaiveRace() if args.race_naive else None
     result = solver.strategy_iteration_solve(
         game, spec, rule=rule, engine=args.engine,
-        record_phases=False, race_naive=args.race_naive, aux_dump=aux_dump)
-    return result.to_json_dict(game, spec), aux_dump
-
-
-def _dump_aux(game, aux_dump) -> None:
-    for phase, table in enumerate(aux_dump, start=1):
-        print(f"# aux digraph, phase {phase}", file=sys.stderr)
-        for (v, w) in sorted(table):
-            cs = ", ".join("inf" if c == float("inf") else str(c) for c in table[(v, w)])
-            print(f"{game.label_of(v)} -> {game.label_of(w)} : [{cs}]", file=sys.stderr)
+        record_phases=False, counters=counters)
+    return result.to_json_dict(game, spec)
 
 
 def cmd_solve(args) -> int:
     game = gamemod.parse_pgsolver(_read_input(args.input))
     if args.engine in ("perfect", "dijkstra") and args.tree != trees.PERFECT:
         raise UsageError(f"engine {args.engine!r} requires --tree perfect")
-    payload, aux_dump = _solve_one(game, args)
-    if aux_dump:
-        _dump_aux(game, aux_dump)
+    payload = _solve_one(game, args)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -123,6 +143,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.runs < 1:
+        raise UsageError(f"--runs must be at least 1, got {args.runs}")
     games = []
     if args.input is not None:
         games.append(("input", gamemod.parse_pgsolver(_read_input(args.input))))
@@ -181,7 +203,7 @@ def cmd_bench(args) -> int:
     if not paths:
         raise UsageError(f"no game files found in {args.dir!r}")
     kinds = args.trees.split(",")
-    algos = args.algos.split(",")
+    algos = [algo.strip() for algo in args.algos.split(",")]
     rows = []
     for path in paths:
         game = gamemod.parse_pgsolver(_read_input(path))
@@ -189,20 +211,22 @@ def cmd_bench(args) -> int:
             spec = build_spec(game, kind.strip(), args.capacity, None)
             for algo in algos:
                 t0 = time.perf_counter()
-                if algo.strip() == "progress":
+                if algo == "progress":
                     from .labeling import progress_measure_solve
 
                     res = progress_measure_solve(game, spec)
                     phases, lifts = 1, res.lifts
-                else:
+                elif algo == "strategy":
                     res = solver.strategy_iteration_solve(
                         game, spec, record_phases=False)
                     phases, lifts = res.phases, res.lifts
+                else:
+                    raise UsageError(f"unknown algo {algo!r}")
                 wall = (time.perf_counter() - t0) * 1000.0
                 rows.append({
                     "instance": os.path.basename(path),
                     "n": game.n, "m": game.m, "d": game.d,
-                    "tree": kind.strip(), "algo": algo.strip(),
+                    "tree": kind.strip(), "algo": algo,
                     "phases": phases, "lifts": lifts,
                     "wall_ms": f"{wall:.3f}",
                 })

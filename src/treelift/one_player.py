@@ -9,6 +9,10 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
   cycle; a worklist Bellman-Ford then drops all labels to the fixed point.
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
+
+Both, and the public pieces they are built from, take an optional
+``counters``: the ``Counters`` observer they tally into and report their
+stages to (a fresh one when none is given).
 """
 
 from __future__ import annotations
@@ -27,10 +31,28 @@ INF = inf
 
 @dataclass
 class Counters:
-    """Mutable tally of label operations for benchmarking."""
+    """Observer of a solve: tallies label operations, and is told of the
+    solve's stages through hooks that a subclass may override (each a no-op
+    here).  The solver builds one per solve unless it is handed one; the
+    engines' helpers always receive one."""
 
     drops: int = 0
     bf_runs: int = 0
+
+    def bf_round(self, values):
+        """After each round of ``_bf``, with the labels as they stand then
+        (later rounds keep mutating ``values``)."""
+
+    def aux_costs(self, tables):
+        """Once per label-correcting phase, before its final Bellman-Ford:
+        the auxiliary-digraph cost dicts {(v, w): cost}, one per (component,
+        chain) in the order the engine computed them; empty without base
+        nodes."""
+
+    def phase(self, sub, before, after):
+        """Once per phase of a solve, right after the engine returns and
+        before the solver's checks: the strategy subgraph, the engine's input
+        labeling and its output."""
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +255,7 @@ def _in_arcs(adjacency, priorities):
     return {w: out[w] for w in sorted(out)}
 
 
-def _bf(values, in_arcs, spec, counters=None, on_pass=None):
+def _bf(values, in_arcs, spec, counters):
     """Drop tail labels over the arcs ``in_arcs`` lists (see ``_in_arcs``) to
     the greatest fixed point below ``values`` (mutated) with a round-based
     FIFO worklist: round one examines the in-arcs of every non-TOP head in
@@ -241,7 +263,9 @@ def _bf(values, in_arcs, spec, counters=None, on_pass=None):
     dropped in the round before, in first-drop order.  Drop is monotone in
     the head label, so any fair order reaches the fixed point of the
     fixed-order sweep over every arc.  Every write strictly lowers a label in
-    a finite tree, so the frontier empties."""
+    a finite tree, so the frontier empties.  Each call counts one run in
+    ``counters.bf_runs``."""
+    counters.bf_runs += 1
     frontier = [w for w in in_arcs if values[w] is not TOP]
     drops = 0
     while frontier:
@@ -254,22 +278,19 @@ def _bf(values, in_arcs, spec, counters=None, on_pass=None):
                     values[v] = t
                     dropped[v] = None
                     drops += 1
-        if on_pass is not None:
-            on_pass(values)
+        counters.bf_round(values)
         frontier = dropped
-    if counters is not None:
-        counters.drops += drops
+    counters.drops += drops
     return values
 
 
-def bellman_ford(sub, labeling: NodeLabeling, counters=None, on_pass=None) -> NodeLabeling:
+def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
     """Drop every label of the strategy subgraph to the greatest fixed point
     below ``labeling`` with the worklist of ``_bf``: each round examines only
     the in-arcs of the labels that dropped in the round before."""
     out = labeling.copy()
-    if counters is not None:
-        counters.bf_runs += 1
-    _bf(out.values, _in_arcs(enumerate(sub.succ), sub.priorities), out.spec, counters, on_pass)
+    _bf(out.values, _in_arcs(enumerate(sub.succ), sub.priorities), out.spec,
+        counters or Counters())
     return out
 
 
@@ -278,7 +299,7 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None, on_pass=None) -> No
 # ---------------------------------------------------------------------------
 
 
-def _thresholds(report, w, j, k, spec, prio, counters=None):
+def _thresholds(report, w, j, k, spec, prio, counters):
     """Per node u of J_w, the smallest chain position i whose member tree
     admits a finite drop fixed point at u when w is pinned to that member's
     minimum leaf; INF when even the largest member fails.
@@ -296,8 +317,6 @@ def _thresholds(report, w, j, k, spec, prio, counters=None):
         domain = trees.chain_member_spec(spec, j, k, i)
         values = {u: TOP for u in jn}
         values[w] = trees.min_leaf(domain)
-        if counters is not None:
-            counters.bf_runs += 1
         _bf(values, in_arcs, domain, counters)
         fin = {u for u in pending if values[u] is not TOP}
         for u in fin:
@@ -310,6 +329,7 @@ def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
     """Chain-k costs for the auxiliary arcs inside one component, via the
     threshold search of the label-correcting algorithm.  Satisfies the
     width-bracketing bounds by construction."""
+    counters = counters or Counters()
     costs = {}
     for w in comp:
         theta = _thresholds(report, w, j, k, spec, sub.priorities, counters)
@@ -327,6 +347,7 @@ def arc_costs_succinct(sub, report, aux: AuxiliaryDigraph, w, spec, counters=Non
     (clamped to INF past the chain end)."""
     if spec.kind != trees.SUCCINCT:
         raise UsageError("arc_costs_succinct requires a succinct tree spec")
+    counters = counters or Counters()
     j = sub.priorities[w] // 2
     B = spec.bits
     domain = trees.chain_member_spec(spec, j, 0, B)
@@ -334,8 +355,6 @@ def arc_costs_succinct(sub, report, aux: AuxiliaryDigraph, w, spec, counters=Non
     in_arcs = _in_arcs(report.j_succ[w].items(), sub.priorities)
     values = {u: TOP for u in jn}
     values[w] = trees.min_leaf(domain)
-    if counters is not None:
-        counters.bf_runs += 1
     _bf(values, in_arcs, domain, counters)
     costs = {}
     for v in sorted(report.j_tops[w]):
@@ -449,13 +468,15 @@ def _floor_value(spec, leaf, j):
     return trees.next_subtree_min(spec, prefix)
 
 
-def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
-                         dump=None) -> NodeLabeling:
+def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
+                         counters=None) -> NodeLabeling:
     """Label-correcting least fixed point above ``mu`` (which must have no
     loose arcs in the subgraph)."""
+    counters = counters or Counters()
     require_no_loose(sub, mu)
     report = find_base_nodes(sub)
     nu = NodeLabeling.all_top(spec, sub.n)
+    tables = []
     if report.base_nodes:
         aux = build_auxiliary_digraph(sub, report)
         for comp in aux.components:
@@ -469,10 +490,8 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
                         costs.update(arc_costs_succinct(sub, report, aux, w, spec, counters))
                 else:
                     costs = arc_costs_generic(sub, report, comp, j, k, spec, counters)
+                tables.append(costs)
                 ik = min_bottleneck_cycle_costs(comp, costs)
-                if dump is not None:
-                    for arc in sorted(costs):
-                        dump.setdefault(arc, []).append(costs[arc])
                 for w in comp:
                     per_node[w].append((k, ik[w]))
             for w in comp:
@@ -488,6 +507,7 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec, counters=None,
                     else:
                         best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
                 nu[w] = best
+    counters.aux_costs(tables)
     out = bellman_ford(sub, nu, counters)
     if not mu.leq(out):
         raise InvariantError("fixed point fell below the input labeling")
@@ -571,17 +591,19 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     n = sub.n
     if spec.capacity < n:
         raise UsageError(f"the label-setting engine requires tree capacity >= n = {n}")
+    counters = counters or Counters()
     S = set(base_nodes)
     values = [nu[v] if v in S else TOP for v in range(n)]
     d = 2 * spec.height
     phi = compute_phi(sub, base_nodes, up_to=d)
+    drops = 0
 
     def drop_into(v, w):
+        nonlocal drops
         t = tighten_target(spec, values[w], sub.priorities[v])
         if t < values[v]:
             values[v] = t
-            if counters is not None:
-                counters.drops += 1
+            drops += 1
             return True
         return False
 
@@ -613,8 +635,8 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
         for v in sub.pred[u]:
             if v not in S and drop_into(v, u):
                 push(v)
-    out = NodeLabeling(spec, values)
-    return out
+    counters.drops += drops
+    return NodeLabeling(spec, values)
 
 
 def least_fixed_point_perfect(sub, mu: NodeLabeling, spec: TreeSpec,

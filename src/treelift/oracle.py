@@ -3,7 +3,8 @@
 These deliberately avoid the engine code paths they are used to check:
 the winner oracle is the classical attractor recursion, the fixed-point
 oracle re-implements arc feasibility on its own, and the tree oracles work
-on plain string tuples enumerated by filtering.
+on plain string tuples enumerated by filtering.  ``NaiveRace`` runs the
+fixed-point oracle against every phase of a solve.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 
 from . import trees
-from .errors import UsageError
+from .errors import InvariantError, UsageError
 from .game import EVEN
 from .labeling import NodeLabeling
+from .one_player import Counters
 from .trees import TOP, TreeSpec
 
 
@@ -111,6 +113,15 @@ def naive_lfp(sub, mu: NodeLabeling, spec: TreeSpec) -> NodeLabeling:
                     queued[u] = True
                     queue.append(u)
     return lab
+
+
+class NaiveRace(Counters):
+    """Solve observer that recomputes every phase with ``naive_lfp`` and
+    raises ``InvariantError`` when the engine's fixed point differs."""
+
+    def phase(self, sub, before, after):
+        if naive_lfp(sub, before, before.spec) != after:
+            raise InvariantError("engine disagrees with the naive lifting oracle")
 
 
 # ---------------------------------------------------------------------------

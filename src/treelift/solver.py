@@ -18,7 +18,6 @@ from . import one_player, trees
 from .errors import InvariantError, UsageError
 from .game import EVEN, ODD, ParityGame, StrategySubgraph, default_strategy
 from .labeling import ArcStatus, NodeLabeling, arc_status, lift_arc
-from .oracle import naive_lfp
 from .trees import TOP, TreeSpec, tighten_target
 
 
@@ -182,16 +181,19 @@ def _engine_for(spec: TreeSpec, engine: str, n: int):
 def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
                              rule=None, engine: str = "auto",
                              record_phases: bool = True,
-                             race_naive: bool = False,
-                             aux_dump=None) -> SolveResult:
+                             counters=None) -> SolveResult:
     """Run strategy iteration to the pointwise minimal feasible labeling.
 
     ``engine`` picks the 1-player fixed point routine ('auto' uses the
     label-setting engine for perfect trees of capacity >= n, label-correcting
     otherwise).
-    ``race_naive`` additionally recomputes every phase with the naive lifting
-    oracle and verifies agreement.  ``aux_dump`` (a list) collects per-phase
-    auxiliary-digraph cost tables from the label-correcting engine.
+    ``record_phases`` keeps every phase's labeling in ``phase_labels`` (the
+    engines' own results, not copies).
+    ``counters`` is the ``one_player.Counters`` observer of the solve (a
+    fresh one when not given): the engines tally into it and call its hooks,
+    and its ``phase`` hook sees every phase before the solver checks it.
+    ``drops`` in the result counts this solve's drops only, so one observer
+    can watch several solves.
     """
     t0 = time.perf_counter()
     warnings = []
@@ -204,34 +206,27 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
             "characterisation needs capacity for every node")
     lfp = _engine_for(spec, engine, game.n)
     rule = rule or SwitchAll()
-    counters = one_player.Counters()
+    counters = counters or one_player.Counters()
+    drops0 = counters.drops
     tau = dict(tau1) if tau1 is not None else default_strategy(game)
     mu = NodeLabeling.all_min(spec, game.n)
-    phase_labels = [mu.copy()] if record_phases else []
+    phase_labels = [mu] if record_phases else []
     phase_cap = game.n * trees.leaf_count(spec) + 1
     lifts = 0
     phases = 0
 
     while True:
         sub = StrategySubgraph(game, tau)
-        dump = {} if aux_dump is not None and lfp is one_player.least_fixed_point_lc else None
-        if dump is not None:
-            new = lfp(sub, mu, spec, counters, dump=dump)
-            aux_dump.append(dump)
-        else:
-            new = lfp(sub, mu, spec, counters)
+        new = lfp(sub, mu, spec, counters)
+        counters.phase(sub, mu, new)
         phases += 1
-        if race_naive:
-            check = naive_lfp(sub, mu, spec)
-            if check != new:
-                raise InvariantError("engine disagrees with the naive lifting oracle")
         if not mu.leq(new):
             raise InvariantError("labeling decreased across a phase")
         adm = _check_phase(game, tau, new)
         lifts += sum(1 for v in range(game.n) if new[v] > mu[v])
         mu = new
         if record_phases:
-            phase_labels.append(mu.copy())
+            phase_labels.append(mu)
         if not adm:
             break
         if phases > phase_cap:
@@ -250,7 +245,7 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         even_strategy=sigma,
         phases=phases,
         lifts=lifts,
-        drops=counters.drops,
+        drops=counters.drops - drops0,
         wall_ms=wall_ms,
         phase_labels=phase_labels,
         warnings=warnings,

@@ -67,10 +67,6 @@ TOP = _Top()
 Label = "tuple[int, ...] | _Top"
 
 
-def is_top(label) -> bool:
-    return label is TOP
-
-
 @dataclass(frozen=True, eq=False)
 class TreeSpec:
     """Description of one universal tree.

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from treelift import one_player, solver
+from treelift import one_player, oracle
 from treelift.cli import bench_report, main
 from treelift.errors import UsageError
 from treelift.labeling import NodeLabeling
@@ -94,6 +94,13 @@ def test_verify_file(worked_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_verify_runs_below_one(runs, capsys):
+    assert main(["verify", "--runs", runs]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "--runs" in err
+
+
 def test_gen_pipe_solve():
     rc, text, _ = run_cli(["gen", "random", "--n", "8", "--d", "4",
                            "--seed", "2"])
@@ -117,11 +124,56 @@ def test_gen_worstcase(tmp_path):
     assert rc == 2
 
 
+# one label-correcting phase with two chains at priority 6 and three at 4,
+# then a second phase with one base node left
+_AUX_GAME = """parity 7;
+0 8 0 4,5,7;
+1 1 1 1,3,6;
+2 3 0 1,2;
+3 6 1 3,4;
+4 1 1 1,6,7;
+5 8 1 0,4,6;
+6 7 0 3,5,6;
+7 4 0 6,7;
+"""
+
+
 def test_dump_aux(worked_path):
-    rc, _, err = run_cli(["solve", worked_path, "--tree", "perfect",
-                          "--capacity", "3", "--engine", "lc", "--dump-aux"])
+    for args, want in (
+        (["--tree", "perfect", "--capacity", "3", "--engine", "lc"],
+         "# aux digraph, phase 1\nD -> D : [0]\n"),
+        (["--tree", "strahler"], "# aux digraph, phase 1\nD -> D : [1]\n"),
+        # the label-setting engine has no auxiliary digraph
+        (["--tree", "perfect"], ""),
+    ):
+        rc, _, err = run_cli(["solve", worked_path, *args, "--dump-aux"])
+        assert rc == 0
+        assert err == want, args
+
+
+def test_dump_aux_phases_and_chains(tmp_path):
+    path = tmp_path / "aux.pg"
+    path.write_text(_AUX_GAME)
+    rc, _, err = run_cli(["solve", str(path), "--tree", "strahler", "--capacity", "4",
+                          "--dump-aux"])
     assert rc == 0
-    assert "D -> D : [0]" in err
+    assert err == ("# aux digraph, phase 1\n"
+                   "0 -> 5 : [0]\n"
+                   "3 -> 3 : [0, 0]\n"
+                   "5 -> 0 : [0]\n"
+                   "7 -> 7 : [0, 0, 0]\n"
+                   "# aux digraph, phase 2\n"
+                   "7 -> 7 : [0, 0, 0]\n")
+
+
+def test_race_naive_with_dump_aux(worked_path):
+    plain = run_cli(["solve", worked_path, "--tree", "strahler", "--dump-aux"])
+    raced = run_cli(["solve", worked_path, "--tree", "strahler", "--dump-aux",
+                     "--race-naive"])
+    assert raced[0] == 0, raced[2]
+    assert raced[2] == plain[2] == "# aux digraph, phase 1\nD -> D : [1]\n"
+    strip = lambda out: {k: v for k, v in json.loads(out).items() if k != "wall_ms"}
+    assert strip(raced[1]) == strip(plain[1])
 
 
 def test_export_mpg(worked_path):
@@ -146,6 +198,14 @@ def test_bench(tmp_path):
     assert len(lines) == 3  # one instance, two tree kinds
     rc, _, err = run_cli(["bench", str(tmp_path / "empty")])
     assert rc == 2
+
+
+def test_bench_unknown_names(tmp_path, capsys):
+    (tmp_path / "a.pg").write_text("0 2 0 1; 1 1 1 0;")
+    for flag, valid in (("--algos", "strategy"), ("--trees", "perfect")):
+        assert main(["bench", str(tmp_path), flag, f"{valid},foo"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "'foo'" in err
 
 
 def test_bench_report_empty():
@@ -175,9 +235,22 @@ def test_engine_loose_arc_is_internal_error(worked_path, monkeypatch, capsys):
 def test_race_naive_disagreement_exits_2(worked_path, monkeypatch, capsys):
     # a disagreement with the naive oracle is a solver fault (exit 2), not a
     # verification mismatch of the input (exit 1 is for `verify`)
-    monkeypatch.setattr(solver, "naive_lfp",
+    monkeypatch.setattr(oracle, "naive_lfp",
                         lambda sub, mu, spec: NodeLabeling.all_top(spec, sub.n))
     assert main(["solve", worked_path, "--race-naive"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: ") and "naive lifting oracle" in err
+
+
+def test_race_naive_with_dump_aux_disagreement(worked_path, monkeypatch, capsys):
+    # both flags: the race still runs, and the tables written before the
+    # failing check stay on stderr ahead of the error
+    monkeypatch.setattr(oracle, "naive_lfp",
+                        lambda sub, mu, spec: NodeLabeling.all_top(spec, sub.n))
+    assert main(["solve", worked_path, "--tree", "strahler", "--dump-aux",
+                 "--race-naive"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("# aux digraph, phase 1\nD -> D : [1]\n"
+                   "internal error: engine disagrees with the naive lifting oracle\n")

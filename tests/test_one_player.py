@@ -98,14 +98,27 @@ def test_bellman_ford_worked(worked, p32):
     assert all(x is TOP for x in allt.values)
 
 
+class _Rounds(Counters):
+    """Keeps a copy of the labels after every ``_bf`` round."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def bf_round(self, values):
+        self.seen.append(values.copy())
+
+
 def test_bellman_ford_sandwich(worked, p32):
     sub = worked_sub(worked)
     mu = NodeLabeling.all_min(p32, worked.n)
     fix = naive_lfp(sub, mu, p32)
     nu = NodeLabeling.all_top(p32, worked.n)
     nu[D] = (0, 0)
-    seen = []
-    bellman_ford(sub, nu, on_pass=lambda vals: seen.append(list(vals)))
+    rounds = _Rounds()
+    bellman_ford(sub, nu, rounds)
+    seen = rounds.seen
+    assert seen and rounds.bf_runs == 1
     for state in seen:
         for v in range(worked.n):
             assert mu[v] <= fix[v] <= state[v]
@@ -131,9 +144,9 @@ def test_worklist_matches_sweep(monkeypatch):
     finals = []
     real_bf = one_player.bellman_ford
 
-    def capture(sub, labeling, counters=None, on_pass=None):
+    def capture(sub, labeling, counters=None):
         finals.append((sub, labeling.copy()))
-        return real_bf(sub, labeling, counters, on_pass)
+        return real_bf(sub, labeling, counters)
 
     monkeypatch.setattr(one_player, "bellman_ford", capture)
     rng = random.Random(53)
@@ -157,7 +170,7 @@ def test_worklist_matches_sweep(monkeypatch):
                         start = dict.fromkeys(jn, TOP)
                         start[w] = trees.min_leaf(domain)
                         got = _bf(dict(start), _in_arcs(report.j_succ[w].items(), g.priorities),
-                                  domain)
+                                  domain, Counters())
                         assert got == _sweep(start, arcs, g.priorities, domain)
                         probes += 1
     assert probes > 500 and len(finals) > 100
@@ -194,14 +207,13 @@ def test_bf_walk_longer_than_nodes():
     prio = gen_random(10, 8, 3, seed=667637309).priorities
     start = dict.fromkeys((0, 2, 3, 4, 6, 7), TOP)
     start[1] = (0, 0, 0)
-    rounds = []
+    rounds = _Rounds()
     adjacency = {}
     for v, w in arcs:
         adjacency.setdefault(v, []).append(w)
-    got = _bf(dict(start), _in_arcs(sorted(adjacency.items()), prio), spec,
-              on_pass=lambda vals: rounds.append(1))
+    got = _bf(dict(start), _in_arcs(sorted(adjacency.items()), prio), spec, rounds)
     assert got == _sweep(dict(start), arcs, prio, spec)
-    assert got[6] == (0, 0, 1) and len(rounds) == 8
+    assert got[6] == (0, 0, 1) and len(rounds.seen) == 8
 
 
 def test_arc_costs_worked_perfect(worked, p32):

@@ -9,7 +9,7 @@ from treelift import one_player, trees
 from treelift.errors import InvariantError, UsageError
 from treelift.game import gen_random, parse_pgsolver
 from treelift.labeling import NodeLabeling, progress_measure_solve
-from treelift.oracle import zielonka_solve
+from treelift.oracle import NaiveRace, zielonka_solve
 from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom,
                              admissible_arcs, extract_even_strategy, pivot,
                              strategy_iteration_solve)
@@ -148,7 +148,7 @@ def test_winners_match_zielonka_smoke():
 
 
 def test_race_naive_flag(worked, p32):
-    res = strategy_iteration_solve(worked, p32, tau1=WORKED_TAU, race_naive=True)
+    res = strategy_iteration_solve(worked, p32, tau1=WORKED_TAU, counters=NaiveRace())
     assert res.even_wins == (C, D, E)
 
 
@@ -168,8 +168,61 @@ def test_race_naive_random():
             specs = [TreeSpec.perfect(cap, h), TreeSpec.succinct(cap, h),
                      TreeSpec.strahler(max(1, min(h, cap.bit_length() - 1)), cap, h)]
             for spec in specs:
-                strategy_iteration_solve(g, spec, engine="lc", race_naive=True,
+                strategy_iteration_solve(g, spec, engine="lc", counters=NaiveRace(),
                                          record_phases=False)
+
+
+class _Recording(one_player.Counters):
+    """Records the solver's ``phase`` and the engine's ``aux_costs`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.phases = []
+        self.aux = []
+
+    def phase(self, sub, before, after):
+        self.phases.append((before, after))
+
+    def aux_costs(self, tables):
+        self.aux.append(tables)
+
+
+def test_observer_hooks():
+    # phase sees every phase's input and output, which are the recorded
+    # phase labelings themselves; aux_costs fires once per label-correcting
+    # phase, with or without base nodes, and never on the label-setting engine
+    rng = random.Random(61)
+    lc_phases = 0
+    for _ in range(15):
+        g = gen_random(rng.randint(2, 20), rng.randint(1, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        h = g.d // 2 or 1
+        strahler = TreeSpec.strahler(max(1, min(h, g.n.bit_length() - 1)), g.n, h)
+        for spec, engine in ((TreeSpec.perfect(g.n, h), "perfect"),
+                             (TreeSpec.perfect(g.n, h), "lc"), (strahler, "lc")):
+            seen = _Recording()
+            res = strategy_iteration_solve(g, spec, engine=engine, counters=seen)
+            pairs = list(zip(res.phase_labels, res.phase_labels[1:]))
+            assert len(seen.phases) == res.phases == len(pairs)
+            assert all(b is pb and a is pa for (b, a), (pb, pa) in zip(seen.phases, pairs))
+            if engine == "lc":
+                assert len(seen.aux) == res.phases
+                assert all(isinstance(costs, dict) for tables in seen.aux for costs in tables)
+                lc_phases += res.phases
+            else:
+                assert seen.aux == []
+    assert lc_phases > 30
+
+
+def test_one_observer_two_solves():
+    # each result counts its own solve's drops; the observer keeps the sum
+    g = gen_random(30, 6, 3, seed=7)
+    specs = (TreeSpec.strahler(2, g.n, 3), TreeSpec.perfect(g.n, 3))
+    alone = [strategy_iteration_solve(g, spec).drops for spec in specs]
+    shared = one_player.Counters()
+    both = [strategy_iteration_solve(g, spec, counters=shared).drops for spec in specs]
+    assert both == alone and all(alone)
+    assert shared.drops == sum(alone) and shared.bf_runs > 0
 
 
 def test_engine_overrides(worked, p32, s32):
