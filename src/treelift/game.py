@@ -8,6 +8,8 @@ The PGSolver format accepted here:
 with owner 0 = Even and 1 = Odd.  Priorities >= 0 are accepted and compressed
 to the canonical range [1, d] (preserving parity and relative order), node
 ids may have gaps and are densified; the original ids are kept for output.
+A node is labelled by its name when it has one, else by its original id, and
+no two nodes may share a label.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ def _build(owners, priorities, succ, names=None, orig_ids=None, orig_priorities=
     names = tuple(names) if names else (None,) * n
     orig_ids = tuple(orig_ids) if orig_ids else tuple(range(n))
     orig_priorities = tuple(orig_priorities) if orig_priorities else tuple(priorities)
+    if names.count(None) < n:  # every caller's ids are distinct: only names collide
+        seen = set()
+        for name, orig in zip(names, orig_ids):
+            label = str(orig if name is None else name)
+            if label in seen:
+                raise FormatError(f"two nodes are labelled {label!r}")
+            seen.add(label)
     pred = [[] for _ in range(n)]
     for v, outs in enumerate(succ):
         for w in outs:

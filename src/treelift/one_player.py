@@ -6,7 +6,9 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
 * ``least_fixed_point_lc``: label-correcting.  Base nodes (dominators of even
   cycles) are seeded via minimum bottleneck cycles of an auxiliary digraph
   whose per-chain arc costs bracket the subtree width needed around each
-  cycle; a worklist Bellman-Ford then drops all labels to the fixed point.
+  cycle.  Costs are chain positions, so the bottleneck search takes one SCC
+  pass per distinct cost, at most L = floor(log2 capacity) + 1 of them.  A
+  worklist Bellman-Ford then drops all labels to the fixed point.
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
 
@@ -299,6 +301,14 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
 # ---------------------------------------------------------------------------
 
 
+def _pinned_bf(report, w, in_arcs, domain, counters):
+    """Bellman-Ford on J_w in the tree ``domain``: every node starts at TOP
+    except w, pinned to the minimum leaf.  Returns the labels."""
+    values = dict.fromkeys(report.j_nodes[w], TOP)
+    values[w] = trees.min_leaf(domain)
+    return _bf(values, in_arcs, domain, counters)
+
+
 def _thresholds(report, w, j, k, spec, prio, counters):
     """Per node u of J_w, the smallest chain position i whose member tree
     admits a finite drop fixed point at u when w is pinned to that member's
@@ -307,22 +317,28 @@ def _thresholds(report, w, j, k, spec, prio, counters):
     Members are probed in increasing order until every node is finite, so
     the number of Bellman-Ford probes is one more than the largest finite
     threshold (the whole chain length when some threshold is INF)."""
-    jn = sorted(report.j_nodes[w])
     in_arcs = _in_arcs(report.j_succ[w].items(), prio)
-    out = dict.fromkeys(jn, INF)
-    pending = set(jn)
+    out = dict.fromkeys(report.j_nodes[w], INF)
     for i in range(trees.chain_length(spec, j, k)):
-        if not pending:
-            break
         domain = trees.chain_member_spec(spec, j, k, i)
-        values = {u: TOP for u in jn}
-        values[w] = trees.min_leaf(domain)
-        _bf(values, in_arcs, domain, counters)
-        fin = {u for u in pending if values[u] is not TOP}
-        for u in fin:
-            out[u] = i
-        pending -= fin
+        for u, label in _pinned_bf(report, w, in_arcs, domain, counters).items():
+            if label is not TOP and out[u] is INF:
+                out[u] = i
+        if INF not in out.values():
+            break
     return out
+
+
+def _arc_costs(report, w, theta):
+    """The auxiliary arcs (v, w) for the tops v of J_w (w itself only when it
+    keeps an out-arc there), each costing the least ``theta`` over v's
+    out-neighbours in J_w."""
+    costs = {}
+    for v in sorted(report.j_tops[w]):
+        outs = report.j_succ[w][v]
+        if v != w or outs:
+            costs[(v, w)] = min(map(theta, outs), default=INF)
+    return costs
 
 
 def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
@@ -333,40 +349,22 @@ def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
     costs = {}
     for w in comp:
         theta = _thresholds(report, w, j, k, spec, sub.priorities, counters)
-        for v in sorted(report.j_tops[w]):
-            outs = report.j_succ[w][v]
-            if v == w and not outs:
-                continue
-            costs[(v, w)] = min((theta[u] for u in outs), default=INF)
+        costs.update(_arc_costs(report, w, theta.__getitem__))
     return costs
 
 
-def arc_costs_succinct(sub, report, aux: AuxiliaryDigraph, w, spec, counters=None):
+def arc_costs_succinct(sub, report, w, spec, counters=None):
     """Succinct-tree shortcut: one Bellman-Ford run on J_w with the full
     height-j member, then cost = bits - max zeta over the tail's out-neighbours
-    (clamped to INF past the chain end)."""
+    (INF when all of them stay TOP)."""
     if spec.kind != trees.SUCCINCT:
         raise UsageError("arc_costs_succinct requires a succinct tree spec")
-    counters = counters or Counters()
-    j = sub.priorities[w] // 2
     B = spec.bits
-    domain = trees.chain_member_spec(spec, j, 0, B)
-    jn = sorted(report.j_nodes[w])
-    in_arcs = _in_arcs(report.j_succ[w].items(), sub.priorities)
-    values = {u: TOP for u in jn}
-    values[w] = trees.min_leaf(domain)
-    _bf(values, in_arcs, domain, counters)
-    costs = {}
-    for v in sorted(report.j_tops[w]):
-        outs = report.j_succ[w][v]
-        if v == w and not outs:
-            continue
-        if (v, w) not in aux.arcs:
-            continue
-        z = max((trees.zeta(domain, values[u]) for u in outs), default=-1)
-        c = B - z
-        costs[(v, w)] = c if c <= B else INF
-    return costs
+    domain = trees.chain_member_spec(spec, sub.priorities[w] // 2, 0, B)
+    values = _pinned_bf(report, w, _in_arcs(report.j_succ[w].items(), sub.priorities),
+                        domain, counters or Counters())
+    return _arc_costs(report, w, lambda u: INF if values[u] is TOP
+                      else B - trees.zeta(domain, values[u]))
 
 
 # ---------------------------------------------------------------------------
@@ -378,65 +376,23 @@ def min_bottleneck_cycle_costs(comp, costs):
     """For every node of a component: the minimum over cycles through it of
     the maximum arc cost (INF when no finite-cost cycle exists).
 
-    Recursive median splitting over the sorted distinct costs: nodes that are
-    cyclic in the below-median subgraph recurse inside their SCC, the rest
-    recurse on the SCC contraction whose cycles all have bottleneck above the
-    median (the contraction keeps genuine self-loops).
-    """
-    result = {v: INF for v in comp}
-    arcs = [(v, w, c) for (v, w), c in costs.items() if c != INF]
-
-    def rec(nodes, arcs, candidates):
-        out = {}
-        if not nodes or not arcs or not candidates:
-            return out
-        if len(candidates) == 1:
-            c0 = candidates[0]
-            adj = {v: [] for v in nodes}
-            loops = set()
-            for v, w, c in arcs:
-                if c <= c0:
-                    adj[v].append(w)
-                    if v == w:
-                        loops.add(v)
-            for K in strongly_connected(sorted(nodes), adj):
-                if len(K) > 1 or K[0] in loops:
-                    for v in K:
-                        out[v] = c0
-            return out
-        mid = candidates[(len(candidates) - 1) // 2]
-        low = [(v, w, c) for v, w, c in arcs if c <= mid]
-        adj = {v: [] for v in nodes}
-        for v, w, _ in low:
-            adj[v].append(w)
-        comps = strongly_connected(sorted(nodes), adj)
-        comp_of = {}
-        for i, K in enumerate(comps):
-            for v in K:
-                comp_of[v] = i
-        low_cands = [c for c in candidates if c <= mid]
-        for K in comps:
-            ks = set(K)
-            intra = [(v, w, c) for v, w, c in low if v in ks and w in ks]
-            if len(K) > 1 or any(v == w for v, w, _ in intra):
-                for v, c in rec(ks, intra, low_cands).items():
-                    out[v] = min(out.get(v, INF), c)
-        c_nodes = set(comp_of.values())
-        c_arcs = [
-            (comp_of[v], comp_of[w], c)
-            for v, w, c in arcs
-            if comp_of[v] != comp_of[w] or v == w
-        ]
-        sub_res = rec(c_nodes, c_arcs, [c for c in candidates if c > mid])
-        for v in nodes:
-            c = sub_res.get(comp_of[v], INF)
-            if c is not INF:
-                out[v] = min(out.get(v, INF), c)
-        return out
-
-    cands = sorted({c for _, _, c in arcs})
-    for v, c in rec(set(comp), arcs, cands).items():
-        result[v] = c
+    One SCC pass per distinct finite cost c, in increasing order, over the
+    arcs costing at most c: the nodes of its cyclic SCCs that have no value
+    yet get c.  Costs are chain positions, so there are at most
+    floor(log2 capacity) + 1 passes."""
+    result = dict.fromkeys(comp, INF)
+    for c in sorted({c for c in costs.values() if c != INF}):
+        adj = {v: [] for v in comp}
+        for (v, w), cost in costs.items():
+            if cost <= c:
+                adj[v].append(w)
+        for K in strongly_connected(comp, adj):
+            if len(K) > 1 or K[0] in adj[K[0]]:
+                for v in K:
+                    if result[v] is INF:
+                        result[v] = c
+        if INF not in result.values():
+            break
     return result
 
 
@@ -477,36 +433,33 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
     report = find_base_nodes(sub)
     nu = NodeLabeling.all_top(spec, sub.n)
     tables = []
-    if report.base_nodes:
-        aux = build_auxiliary_digraph(sub, report)
-        for comp in aux.components:
-            j = sub.priorities[comp[0]] // 2
-            ks = trees.chain_indices(spec, j)
-            per_node = {w: [] for w in comp}
-            for k in ks:
-                if spec.kind == trees.SUCCINCT:
-                    costs = {}
-                    for w in comp:
-                        costs.update(arc_costs_succinct(sub, report, aux, w, spec, counters))
-                else:
-                    costs = arc_costs_generic(sub, report, comp, j, k, spec, counters)
-                tables.append(costs)
-                ik = min_bottleneck_cycle_costs(comp, costs)
+    for comp in build_auxiliary_digraph(sub, report).components:
+        j = sub.priorities[comp[0]] // 2
+        per_node = {w: [] for w in comp}
+        for k in trees.chain_indices(spec, j):
+            if spec.kind == trees.SUCCINCT:
+                costs = {}
                 for w in comp:
-                    per_node[w].append((k, ik[w]))
+                    costs.update(arc_costs_succinct(sub, report, w, spec, counters))
+            else:
+                costs = arc_costs_generic(sub, report, comp, j, k, spec, counters)
+            tables.append(costs)
+            ik = min_bottleneck_cycle_costs(comp, costs)
             for w in comp:
-                if mu[w] is TOP:
-                    continue
-                finite = [(k, i) for k, i in per_node[w] if i is not INF]
-                if any(i == 0 for _, i in finite) and not all(i == 0 for _, i in finite):
-                    raise InvariantError("zero-cost cycle must be zero for all chains")
-                best = TOP
-                for k, i in finite:
-                    if i == 0:
-                        best = min(best, _floor_value(spec, mu[w], j))
-                    else:
-                        best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
-                nu[w] = best
+                per_node[w].append((k, ik[w]))
+        for w in comp:
+            if mu[w] is TOP:
+                continue
+            finite = [(k, i) for k, i in per_node[w] if i is not INF]
+            if any(i == 0 for _, i in finite) and not all(i == 0 for _, i in finite):
+                raise InvariantError("zero-cost cycle must be zero for all chains")
+            best = TOP
+            for k, i in finite:
+                if i == 0:
+                    best = min(best, _floor_value(spec, mu[w], j))
+                else:
+                    best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
+            nu[w] = best
     counters.aux_costs(tables)
     out = bellman_ford(sub, nu, counters)
     if not mu.leq(out):
@@ -575,7 +528,7 @@ def _potential(spec, phi, values, v, d):
     parts = [0]
     for t in range(spec.height):
         p = d - 2 * t
-        parts.append(phi[p][v] if p in phi else 0)
+        parts.append(phi[p][v])
         parts.append(leaf[t])
     return tuple(parts)
 

@@ -357,7 +357,7 @@ def test_criterion_8_property_suites():
                         if spec.kind == trees.SUCCINCT:
                             alt = {}
                             for w in comp:
-                                alt.update(arc_costs_succinct(sub, report, aux, w, spec))
+                                alt.update(arc_costs_succinct(sub, report, w, spec))
                             assert alt == got
                         for w in comp:
                             lower, upper = _brute_cost_bounds(sub, report, w, j, k, spec)

@@ -63,6 +63,9 @@ def test_solve_usage_errors(tmp_path, worked_path):
     bad.write_text("0 2 0 ;")
     rc, _, err = run_cli(["solve", str(bad)])
     assert rc == 2 and "sink" in err
+    # two nodes named "n" would share one key of the JSON "labels" object
+    rc, out, err = run_cli(["solve", "-"], stdin='0 2 0 1 "n"; 1 2 0 0 "n";')
+    assert rc == 2 and out == "" and err.startswith("error:") and "'n'" in err
     rc, _, err = run_cli(["solve", worked_path, "--tree", "succinct",
                           "--engine", "perfect"])
     assert rc == 2

@@ -37,6 +37,11 @@ def test_parse_dangling_and_duplicates():
         parse_pgsolver("0 2 0 0; 0 1 1 0;")
     with pytest.raises(FormatError, match="negative"):
         parse_pgsolver("0 -1 0 0;")
+    # two nodes that render to the same output label
+    for text in ('0 2 0 1 "n"; 1 2 0 0 "n";', '0 2 0 1 "1"; 1 2 0 0;',
+                 '0 2 0 1 ""; 1 2 0 0 "";'):
+        with pytest.raises(FormatError, match="labelled"):
+            parse_pgsolver(text)
 
 
 def test_parse_id_gaps():

@@ -229,9 +229,8 @@ def test_arc_costs_even_cycle_succinct():
     sub = strategy_subgraph(g, {})
     spec = TreeSpec.succinct(2, 1)
     report = find_base_nodes(sub)
-    aux = build_auxiliary_digraph(sub, report)
     for w in report.base_nodes:
-        for arc, c in arc_costs_succinct(sub, report, aux, w, spec).items():
+        for arc, c in arc_costs_succinct(sub, report, w, spec).items():
             assert c == 0
 
 
@@ -245,7 +244,7 @@ def test_arc_costs_succinct_matches_generic(fourbase):
         generic = arc_costs_generic(sub, report, comp, j, 0, spec)
         succ = {}
         for w in comp:
-            succ.update(arc_costs_succinct(sub, report, aux, w, spec))
+            succ.update(arc_costs_succinct(sub, report, w, spec))
         assert generic == succ
 
 
@@ -256,13 +255,36 @@ def test_arc_costs_infeasible_is_inf():
     sub = strategy_subgraph(g, {})
     spec = TreeSpec.succinct(2, 1)
     report = find_base_nodes(sub)
-    aux = build_auxiliary_digraph(sub, report)
     costs = {}
     for w in report.base_nodes:
-        costs.update(arc_costs_succinct(sub, report, aux, w, spec))
+        costs.update(arc_costs_succinct(sub, report, w, spec))
     assert costs[(0, 0)] == inf
     generic = arc_costs_generic(sub, report, (0,), 1, 0, spec)
     assert generic[(0, 0)] == inf
+
+
+def test_arc_cost_keys_are_aux_arcs():
+    # both cost rules price exactly the auxiliary arcs: per base node w the
+    # arcs into w, per component the arcs inside it
+    rng = random.Random(23)
+    for _ in range(40):
+        g = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        tau = {v: rng.choice(g.succ[v]) for v in g.odd_nodes()}
+        sub = strategy_subgraph(g, tau)
+        report = find_base_nodes(sub)
+        aux = build_auxiliary_digraph(sub, report)
+        h = g.d // 2
+        for w in report.base_nodes:
+            costs = arc_costs_succinct(sub, report, w, TreeSpec.succinct(g.n, h))
+            assert set(costs) == {(v, x) for v, x in aux.arcs if x == w}
+        g_max = min(h, g.n.bit_length() - 1)
+        for spec in (TreeSpec.perfect(g.n, h), TreeSpec.strahler(g_max, g.n, h)):
+            for comp in aux.components:
+                j = sub.priorities[comp[0]] // 2
+                for k in trees.chain_indices(spec, j):
+                    costs = arc_costs_generic(sub, report, comp, j, k, spec)
+                    assert set(costs) == {(v, x) for v, x in aux.arcs if x in comp}
 
 
 def test_min_bottleneck_examples():
@@ -274,19 +296,25 @@ def test_min_bottleneck_examples():
 
 
 def test_min_bottleneck_random_vs_brute():
+    # dense ids 0..n-1, then sparse ids from range(40) in arbitrary order,
+    # as the engine passes real node ids of base nodes
     import networkx as nx
 
     rng = random.Random(17)
-    for _ in range(120):
-        n = rng.randint(1, 7)
+    for case in range(240):
+        if case < 120:
+            nodes, choices = tuple(range(rng.randint(1, 7))), [0, 1, 2, 3, inf]
+        else:
+            nodes = tuple(rng.sample(range(40), rng.randint(1, 7)))
+            choices = [*range(9), inf]
         arcs = {}
-        for v in range(n):
-            for w in range(n):
+        for v in nodes:
+            for w in nodes:
                 if rng.random() < 0.4:
-                    arcs[(v, w)] = rng.choice([0, 1, 2, 3, inf])
-        got = min_bottleneck_cycle_costs(tuple(range(n)), arcs)
+                    arcs[(v, w)] = rng.choice(choices)
+        got = min_bottleneck_cycle_costs(nodes, arcs)
         dig = nx.DiGraph(list(arcs))
-        best = {v: inf for v in range(n)}
+        best = {v: inf for v in nodes}
         for cyc in nx.simple_cycles(dig):
             cycle_arcs = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
             cost = max(arcs[a] for a in cycle_arcs)
