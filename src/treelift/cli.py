@@ -28,7 +28,10 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _use_color() -> bool:

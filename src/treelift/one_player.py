@@ -415,15 +415,6 @@ def require_no_loose(sub, mu: NodeLabeling) -> None:
                 raise UsageError(f"labeling has a loose arc {v}->{w}")
 
 
-def _floor_value(spec, leaf, j):
-    """mu(w) when it is the minimum of its own depth-(h-j) subtree, otherwise
-    the minimum of the next such subtree (the i = 0 raise for every chain)."""
-    prefix = leaf[: spec.height - j]
-    if trees.min_leaf_below(spec, prefix) == leaf:
-        return leaf
-    return trees.next_subtree_min(spec, prefix)
-
-
 def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                          counters=None) -> NodeLabeling:
     """Label-correcting least fixed point above ``mu`` (which must have no
@@ -455,8 +446,8 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                 raise InvariantError("zero-cost cycle must be zero for all chains")
             best = TOP
             for k, i in finite:
-                if i == 0:
-                    best = min(best, _floor_value(spec, mu[w], j))
+                if i == 0:  # the raise at position 0, for every chain
+                    best = min(best, trees.floor_leaf(spec, mu[w], j))
                 else:
                     best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
             nu[w] = best

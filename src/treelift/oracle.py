@@ -226,7 +226,7 @@ def brute_raise(spec: TreeSpec, leaf, i: int, j: int, k: int):
     first_of = {}
     for comps in leaves:
         first_of.setdefault(comps[: spec.height - j], comps)
-    xi = components_key(spec, leaf)
+    xi = trees.components_of(spec, leaf)
     for comps in leaves:
         if _tuple_cmp(comps, xi) < 0:
             continue
@@ -245,11 +245,6 @@ def brute_raise(spec: TreeSpec, leaf, i: int, j: int, k: int):
                 continue
         return trees.leaf_from_components(spec, comps)
     return TOP
-
-
-def components_key(spec, leaf):
-    comps = trees.components_of(spec, leaf)
-    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,10 @@ class _Top:
 
 TOP = _Top()
 
-Label = "tuple[int, ...] | _Top"
+_SPECS: dict = {}  # field tuple -> the one TreeSpec with those fields
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TreeSpec:
     """Description of one universal tree.
 
@@ -77,10 +77,11 @@ class TreeSpec:
     but the dataclass itself admits the degenerate parameters (g = 0, tiny
     capacities) that arise for internal chain-member value domains.
 
-    Specs are equal when their fields are.  A spec is part of the key of
-    ``tighten_target``'s cache, so equality tests identity first and
-    otherwise compares one stored field tuple.  The hash is not stored:
-    string hashes differ between processes, and a spec may be pickled.
+    Specs are interned: building a spec with the fields of an existing one
+    returns that same object, through the constructors, ``dataclasses.replace``,
+    ``copy`` and pickle alike.  Equality and hashing are therefore ``object``'s
+    identity ones, which is what keys ``tighten_target``'s cache.  ``bits``,
+    ``keylen`` and ``max_complen`` are computed once, at construction.
     """
 
     kind: str
@@ -88,30 +89,33 @@ class TreeSpec:
     height: int
     strahler_g: int = 0
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UsageError(f"unknown tree kind {self.kind!r}")
-        if self.capacity < 1:
+    def __new__(cls, kind, capacity, height, strahler_g=0):
+        key = (kind, capacity, height, strahler_g)
+        spec = _SPECS.get(key)
+        if spec is not None:
+            return spec
+        if kind not in KINDS:
+            raise UsageError(f"unknown tree kind {kind!r}")
+        if capacity < 1:
             raise UsageError("capacity must be >= 1")
-        if self.height < 1:
+        if height < 1:
             raise UsageError("height must be >= 1")
-        if self.kind == STRAHLER:
-            if not 0 <= self.strahler_g <= self.height:
+        if kind == STRAHLER:
+            if not 0 <= strahler_g <= height:
                 raise UsageError("strahler_g must lie in [0, height]")
-        elif self.strahler_g != 0:
+        elif strahler_g != 0:
             raise UsageError(f"strahler_g is only valid for {STRAHLER} trees")
-        object.__setattr__(self, "_key",
-                           (self.kind, self.capacity, self.height, self.strahler_g))
+        spec = super().__new__(cls)
+        bits = capacity.bit_length() - 1  # floor(log2 capacity): the string bit budget
+        # frozen: write the instance dict directly
+        vars(spec).update(zip(("kind", "capacity", "height", "strahler_g"), key),
+                          bits=bits, keylen=bits + 2,
+                          # strahler strings carry one leading bit on top of the budget
+                          max_complen=bits if kind == SUCCINCT else bits + 1)
+        return _SPECS.setdefault(key, spec)  # two racing constructors get one spec
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+    def __reduce__(self):
+        return TreeSpec, (self.kind, self.capacity, self.height, self.strahler_g)
 
     # -- constructors enforcing the user-facing invariants -----------------
 
@@ -138,23 +142,6 @@ class TreeSpec:
         if self.kind == STRAHLER:
             out["strahler_g"] = self.strahler_g
         return out
-
-    # -- derived quantities -------------------------------------------------
-
-    @property
-    def bits(self) -> int:
-        """floor(log2 capacity): the non-top bit budget of string leaves."""
-        return self.capacity.bit_length() - 1
-
-    @property
-    def keylen(self) -> int:
-        return self.bits + 2
-
-    @property
-    def max_complen(self) -> int:
-        if self.kind == SUCCINCT:
-            return self.bits
-        return self.bits + 1  # strahler: one leading bit plus the budget
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +558,15 @@ def chain_member_spec(spec: TreeSpec, j: int, k: int, i: int) -> TreeSpec:
     return TreeSpec(STRAHLER, 1 << i, j, k)
 
 
+def floor_leaf(spec: TreeSpec, leaf, j: int):
+    """``leaf`` when it is the minimum of its own depth-(h-j) subtree,
+    otherwise the minimum of the next such subtree (TOP if there is none)."""
+    prefix = leaf[: spec.height - j]
+    if min_leaf_below(spec, prefix) == leaf:
+        return leaf
+    return next_subtree_min(spec, prefix)
+
+
 def _raise_self_ok(spec: TreeSpec, leaf, i: int, j: int, k: int) -> bool:
     """Does ``leaf`` (already the minimum of its own depth-(h-j) subtree)
     sit at chain k with at least i spare bits?"""
@@ -649,20 +645,11 @@ def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
         raise UsageError("strahler raise with i = 0 is resolved by the caller")
     if i >= chain_length(spec, j, k):
         return TOP
-    h = spec.height
-    prefix = leaf[: h - j]
-    if min_leaf_below(spec, prefix) != leaf:
-        leaf = next_subtree_min(spec, prefix)
-        if leaf is TOP:
-            return TOP
-    if _raise_self_ok(spec, leaf, i, j, k):
+    leaf = floor_leaf(spec, leaf, j)
+    if leaf is TOP or _raise_self_ok(spec, leaf, i, j, k):
         return leaf
 
-    if spec.kind == PERFECT:
-        # single-member chain: only reachable when i == 0 and the leaf is not
-        # a subtree minimum, which normalisation already resolved
-        return leaf if i == 0 else TOP
-
+    h = spec.height
     if spec.kind == SUCCINCT:
         for idx in range(h - j - 1, -1, -1):
             vertex = leaf[:idx]

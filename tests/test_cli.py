@@ -211,6 +211,17 @@ def test_bench_unknown_names(tmp_path, capsys):
         assert out == "" and err.startswith("error:") and "'foo'" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench", "export-mpg"])
+def test_non_utf8_file_is_format_error(tmp_path, capsys, command):
+    # exit 1 would read as a verify mismatch: undecodable input is a format error
+    path = tmp_path / "bad.pg"
+    path.write_bytes(b"\xff\xfe 1 0 0;")
+    target = str(tmp_path) if command == "bench" else str(path)
+    assert main([command, target]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "UTF-8" in err
+
+
 def test_bench_report_empty():
     with pytest.raises(UsageError):
         bench_report([])

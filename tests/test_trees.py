@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import pickle
@@ -118,12 +119,15 @@ def test_raise_strahler_contract():
     assert got == brute_raise(spec, min_leaf(spec), 1, 1, 1)
 
 
-@pytest.mark.parametrize("spec", [
+SMALL_STRING_SPECS = [
     TreeSpec.succinct(5, 2),
     TreeSpec.succinct(8, 3),
     TreeSpec.strahler(2, 9, 3),
     TreeSpec.strahler(1, 4, 2),
-])
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_STRING_SPECS)
 def test_raise_matches_brute_small(spec):
     leaves = list(trees.iter_leaves(spec))
     for j in range(1, spec.height + 1):
@@ -133,6 +137,17 @@ def test_raise_matches_brute_small(spec):
                 for xi in leaves:
                     assert raise_leaf(spec, xi, i, j, k) == \
                         brute_raise(spec, xi, i, j, k), (xi, i, j, k)
+
+
+@pytest.mark.parametrize("spec", SMALL_STRING_SPECS)
+def test_floor_leaf_is_the_position_zero_raise(spec):
+    # the label-correcting engine's value for a zero-cost cycle: the raise at
+    # chain position 0, minimised over every chain of the height
+    for j in range(1, spec.height + 1):
+        for xi in trees.iter_leaves(spec):
+            want = min(brute_raise(spec, xi, 0, j, k)
+                       for k in trees.chain_indices(spec, j))
+            assert trees.floor_leaf(spec, xi, j) == want, (xi, j)
 
 
 def test_raise_monotone(s72):
@@ -225,7 +240,7 @@ def test_spec_validation():
 
 def test_spec_equality_by_value():
     a, b = TreeSpec.strahler(2, 8, 3), TreeSpec.strahler(2, 8, 3)
-    assert a is not b
+    assert a is b
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
@@ -250,9 +265,35 @@ def test_spec_value_api():
     assert back == spec and hash(back) == hash(spec)
 
 
+def test_spec_is_interned():
+    spec = TreeSpec.strahler(2, 8, 3)
+    assert TreeSpec("strahler", 8, 3, 2) is spec
+    assert TreeSpec(kind="strahler", capacity=8, height=3, strahler_g=2) is spec
+    assert TreeSpec.strahler(2, 8, 3) is spec
+    assert dataclasses.replace(TreeSpec.strahler(2, 16, 3), capacity=8) is spec
+    assert copy.copy(spec) is spec and copy.deepcopy(spec) is spec
+    assert pickle.loads(pickle.dumps(spec)) is spec
+    member = trees.chain_member_spec(spec, 2, 1, 2)
+    assert trees.chain_member_spec(spec, 2, 1, 2) is member
+    assert member is TreeSpec(trees.STRAHLER, 4, 2, 1)
+    assert TreeSpec.__eq__ is object.__eq__ and TreeSpec.__hash__ is object.__hash__
+    assert (spec.bits, spec.keylen, spec.max_complen) == (3, 5, 4)
+
+
+def test_rejected_spec_is_not_interned():
+    before = dict(trees._SPECS)
+    for args in (("weird", 3, 2), (trees.PERFECT, 0, 2), (trees.SUCCINCT, 3, 0),
+                 (trees.STRAHLER, 8, 2, 3), (trees.PERFECT, 8, 2, 1)):
+        with pytest.raises(UsageError):
+            TreeSpec(*args)
+    with pytest.raises(UsageError):
+        TreeSpec.strahler(3, 7, 2)
+    assert trees._SPECS == before
+
+
 def test_spec_pickled_in_another_process():
-    # string hashes are salted per process: an unpickled spec must hash by
-    # its fields in this process, not carry the other process's hash
+    # string hashes are salted per process: an unpickled spec must be this
+    # process's interned object, not carry the other process's hash
     src = os.path.dirname(os.path.dirname(trees.__file__))
     code = ("import pickle, sys; from treelift.trees import TreeSpec; "
             "sys.stdout.write(pickle.dumps(TreeSpec.succinct(8, 3)).hex())")
@@ -260,7 +301,7 @@ def test_spec_pickled_in_another_process():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     spec = pickle.loads(bytes.fromhex(proc.stdout))
-    assert spec == TreeSpec.succinct(8, 3)
+    assert spec is TreeSpec.succinct(8, 3)
     assert hash(spec) == hash(TreeSpec.succinct(8, 3))
     assert {TreeSpec.succinct(8, 3): 1}[spec] == 1
 
