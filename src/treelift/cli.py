@@ -12,6 +12,7 @@ the same arguments produce byte-identical stdout apart from wall-time fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -245,6 +246,7 @@ def cmd_export_mpg(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state on it
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="treelift",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .errors import FormatError, UsageError
@@ -129,6 +130,7 @@ _NODE_RE = re.compile(
     r"^(?P<id>\d+)\s+(?P<prio>-?\d+)\s+(?P<owner>\d+)\s*"
     r"(?P<succs>[-\d,\s]*?)\s*(?:\"(?P<name>[^\"]*)\")?$"
 )
+_SUCC_RE = re.compile(r"-?\d+")
 
 
 def parse_pgsolver(text: str) -> ParityGame:
@@ -151,8 +153,12 @@ def parse_pgsolver(text: str) -> ParityGame:
             raise FormatError(f"node {v}: owner must be 0 or 1, got {owner}")
         if prio < 0:
             raise FormatError(f"node {v}: priority {prio} is negative")
-        succs_txt = m.group("succs").strip()
-        succs = [int(tok) for tok in succs_txt.split(",") if tok.strip()] if succs_txt else []
+        # a missing ';' joins two statements, which leaves a space (or a
+        # bare '-') inside one successor
+        tokens = [tok for tok in (t.strip() for t in m.group("succs").split(",")) if tok]
+        if not all(_SUCC_RE.fullmatch(tok) for tok in tokens):
+            raise FormatError(f"cannot parse statement {stmt!r}")
+        succs = [int(tok) for tok in tokens]
         if v in entries:
             raise FormatError(f"duplicate node id {v}")
         entries[v] = (prio, owner, succs, m.group("name"))
@@ -209,7 +215,11 @@ def validate_strategy(game: ParityGame, tau: dict) -> None:
 
 class StrategySubgraph:
     """View of the game after fixing Odd's strategy: all Even arcs plus
-    exactly the chosen Odd arcs."""
+    exactly the chosen Odd arcs.  Its nodes are the game's own, so ``ids``
+    is None and nothing is ``pinned`` (compare ``Region``)."""
+
+    ids = None
+    pinned = ()
 
     def __init__(self, game: ParityGame, tau: dict):
         validate_strategy(game, tau)
@@ -224,6 +234,28 @@ class StrategySubgraph:
             for w in outs:
                 pred[w].append(v)
         self.pred = tuple(tuple(p) for p in pred)
+
+    def switch(self, switches: dict) -> "StrategySubgraph":
+        """The subgraph after Odd moves each tail of ``switches`` to its head.
+        Only the switched tails' successors and the predecessors of their old
+        and new heads are rewritten; every other list is shared."""
+        game = self.game
+        succ, pred = list(self.succ), list(self.pred)
+        for v, w in switches.items():
+            if game.owners[v] != ODD or w not in game.succ[v]:
+                raise UsageError(f"strategy picks a non-arc {v}->{w}")
+            old = succ[v][0]
+            if old == w:
+                continue
+            succ[v] = (w,)
+            pred[old] = tuple(u for u in pred[old] if u != v)
+            heads = list(pred[w])
+            insort(heads, v)
+            pred[w] = tuple(heads)
+        out = object.__new__(StrategySubgraph)
+        out.game, out.tau = game, {**self.tau, **switches}
+        out.succ, out.pred = tuple(succ), tuple(pred)
+        return out
 
     @property
     def n(self) -> int:
@@ -242,6 +274,53 @@ class StrategySubgraph:
         for v, outs in enumerate(self.succ):
             out.extend((v, w) for w in outs)
         return out
+
+
+class Region:
+    """The part of a strategy subgraph that reaches ``sources``, as a graph of
+    its own for the 1-player engines.
+
+    ``inner`` is R, the nodes with a path to a source.  The boundary B holds
+    the successors of R outside R.  The nodes of R and B are numbered 0, 1,
+    ... in increasing game id, and ``ids`` maps that number back to the game
+    id.  Nodes of R keep their arcs, and nodes of B are sinks listed in
+    ``pinned``: an engine keeps their input labels.  No arc enters R from
+    outside it, so the rest of the game is closed under successors."""
+
+    def __init__(self, sub: StrategySubgraph, sources):
+        succ, pred = sub.succ, sub.pred
+        inner = set(sources)
+        stack = list(inner)
+        while stack:
+            for u in pred[stack.pop()]:
+                if u not in inner:
+                    inner.add(u)
+                    stack.append(u)
+        boundary = set().union(*map(succ.__getitem__, inner)) - inner
+        ids = sorted(inner | boundary)
+        number = [0] * sub.n
+        for i, v in enumerate(ids):
+            number[v] = i
+        local = number.__getitem__
+        self.game = sub.game
+        self.inner = frozenset(inner)
+        self.ids = tuple(ids)
+        self.pinned = tuple(map(local, sorted(boundary)))
+        # every predecessor of a node of R lies in R; a boundary node keeps
+        # only its arcs from R
+        self.succ = tuple([tuple(map(local, succ[v])) if v in inner else ()
+                           for v in ids])
+        self.pred = tuple([tuple(map(local, pred[v])) if v in inner
+                           else tuple([local(u) for u in pred[v] if u in inner])
+                           for v in ids])
+        self.owners = tuple(map(sub.owners.__getitem__, ids))
+        self.priorities = tuple(map(sub.priorities.__getitem__, ids))
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    arcs = StrategySubgraph.arcs
 
 
 def strategy_subgraph(game: ParityGame, tau: dict) -> StrategySubgraph:

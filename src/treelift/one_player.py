@@ -12,6 +12,10 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
 
+Both also run on a ``game.Region`` of a strategy subgraph: its ``pinned``
+boundary nodes are sinks that keep their input labels, and what the engines
+report (hooks, error messages) names nodes by game id.
+
 Both, and the public pieces they are built from, take an optional
 ``counters``: the ``Counters`` observer they tally into and report their
 stages to (a fresh one when none is given).
@@ -20,6 +24,8 @@ stages to (a fresh one when none is given).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import inf
 
@@ -40,15 +46,20 @@ class Counters:
 
     drops: int = 0
     bf_runs: int = 0
+    # the label-correcting engine's latest cost tables, {component: one dict
+    # per chain}, in game ids: a phase on a ``game.Region`` reports the
+    # components outside it from here, as their arcs did not change
+    aux_tables: dict = field(default_factory=dict, repr=False)
 
     def bf_round(self, values):
         """After each round of ``_bf``, with the labels as they stand then
-        (later rounds keep mutating ``values``)."""
+        (later rounds keep mutating ``values``), keyed by game id."""
 
     def aux_costs(self, tables):
         """Once per label-correcting phase, before its final Bellman-Ford:
-        the auxiliary-digraph cost dicts {(v, w): cost}, one per (component,
-        chain) in the order the engine computed them; empty without base
+        the auxiliary-digraph cost dicts {(v, w): cost} in game ids, one per
+        (component, chain), components in increasing order of their least
+        node and each component's chains in order; empty without base
         nodes."""
 
     def phase(self, sub, before, after):
@@ -257,7 +268,31 @@ def _in_arcs(adjacency, priorities):
     return {w: out[w] for w in sorted(out)}
 
 
-def _bf(values, in_arcs, spec, counters):
+class _ByGameId(Mapping):
+    """The labels ``values`` of a Bellman-Ford run on a ``game.Region`` (a
+    list over its nodes, or a dict over some of them), read by game id
+    through the region's sorted ``ids``."""
+
+    __slots__ = ("values", "ids")
+
+    def __init__(self, values, ids):
+        self.values, self.ids = values, ids
+
+    def __getitem__(self, v):
+        i = bisect_left(self.ids, v)
+        if i == len(self.ids) or self.ids[i] != v:
+            raise KeyError(v)
+        return self.values[i]
+
+    def __iter__(self):
+        keys = self.values if isinstance(self.values, dict) else range(len(self.values))
+        return (self.ids[i] for i in keys)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def _bf(values, in_arcs, spec, counters, ids=None):
     """Drop tail labels over the arcs ``in_arcs`` lists (see ``_in_arcs``) to
     the greatest fixed point below ``values`` (mutated) with a round-based
     FIFO worklist: round one examines the in-arcs of every non-TOP head in
@@ -266,7 +301,8 @@ def _bf(values, in_arcs, spec, counters):
     the head label, so any fair order reaches the fixed point of the
     fixed-order sweep over every arc.  Every write strictly lowers a label in
     a finite tree, so the frontier empties.  Each call counts one run in
-    ``counters.bf_runs``."""
+    ``counters.bf_runs``.  ``ids``, a region's, maps the keys of ``values``
+    to game ids for ``counters.bf_round``."""
     counters.bf_runs += 1
     frontier = [w for w in in_arcs if values[w] is not TOP]
     drops = 0
@@ -280,7 +316,7 @@ def _bf(values, in_arcs, spec, counters):
                     values[v] = t
                     dropped[v] = None
                     drops += 1
-        counters.bf_round(values)
+        counters.bf_round(values if ids is None else _ByGameId(values, ids))
         frontier = dropped
     counters.drops += drops
     return values
@@ -292,7 +328,7 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
     the in-arcs of the labels that dropped in the round before."""
     out = labeling.copy()
     _bf(out.values, _in_arcs(enumerate(sub.succ), sub.priorities), out.spec,
-        counters or Counters())
+        counters or Counters(), sub.ids)
     return out
 
 
@@ -301,15 +337,15 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
 # ---------------------------------------------------------------------------
 
 
-def _pinned_bf(report, w, in_arcs, domain, counters):
+def _pinned_bf(sub, report, w, in_arcs, domain, counters):
     """Bellman-Ford on J_w in the tree ``domain``: every node starts at TOP
     except w, pinned to the minimum leaf.  Returns the labels."""
     values = dict.fromkeys(report.j_nodes[w], TOP)
     values[w] = trees.min_leaf(domain)
-    return _bf(values, in_arcs, domain, counters)
+    return _bf(values, in_arcs, domain, counters, sub.ids)
 
 
-def _thresholds(report, w, j, k, spec, prio, counters):
+def _thresholds(sub, report, w, j, k, spec, counters):
     """Per node u of J_w, the smallest chain position i whose member tree
     admits a finite drop fixed point at u when w is pinned to that member's
     minimum leaf; INF when even the largest member fails.
@@ -317,11 +353,11 @@ def _thresholds(report, w, j, k, spec, prio, counters):
     Members are probed in increasing order until every node is finite, so
     the number of Bellman-Ford probes is one more than the largest finite
     threshold (the whole chain length when some threshold is INF)."""
-    in_arcs = _in_arcs(report.j_succ[w].items(), prio)
+    in_arcs = _in_arcs(report.j_succ[w].items(), sub.priorities)
     out = dict.fromkeys(report.j_nodes[w], INF)
     for i in range(trees.chain_length(spec, j, k)):
         domain = trees.chain_member_spec(spec, j, k, i)
-        for u, label in _pinned_bf(report, w, in_arcs, domain, counters).items():
+        for u, label in _pinned_bf(sub, report, w, in_arcs, domain, counters).items():
             if label is not TOP and out[u] is INF:
                 out[u] = i
         if INF not in out.values():
@@ -348,7 +384,7 @@ def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
     counters = counters or Counters()
     costs = {}
     for w in comp:
-        theta = _thresholds(report, w, j, k, spec, sub.priorities, counters)
+        theta = _thresholds(sub, report, w, j, k, spec, counters)
         costs.update(_arc_costs(report, w, theta.__getitem__))
     return costs
 
@@ -361,7 +397,7 @@ def arc_costs_succinct(sub, report, w, spec, counters=None):
         raise UsageError("arc_costs_succinct requires a succinct tree spec")
     B = spec.bits
     domain = trees.chain_member_spec(spec, sub.priorities[w] // 2, 0, B)
-    values = _pinned_bf(report, w, _in_arcs(report.j_succ[w].items(), sub.priorities),
+    values = _pinned_bf(sub, report, w, _in_arcs(report.j_succ[w].items(), sub.priorities),
                         domain, counters or Counters())
     return _arc_costs(report, w, lambda u: INF if values[u] is TOP
                       else B - trees.zeta(domain, values[u]))
@@ -401,9 +437,14 @@ def min_bottleneck_cycle_costs(comp, costs):
 # ---------------------------------------------------------------------------
 
 
+def _game_id(sub, v):
+    return v if sub.ids is None else sub.ids[v]
+
+
 def require_no_loose(sub, mu: NodeLabeling) -> None:
     """Raise ``UsageError`` at the first arc of ``sub`` (in tail, then
-    successor order) whose tail label is above its tight value."""
+    successor order) whose tail label is above its tight value, naming it
+    in game ids."""
     spec, values, prio = mu.spec, mu.values, sub.priorities
     for v, outs in enumerate(sub.succ):
         p, lab = prio[v], values[v]
@@ -412,21 +453,42 @@ def require_no_loose(sub, mu: NodeLabeling) -> None:
             # cost more than the check itself
             target = tighten_target(spec, values[w], p)
             if not (lab is target or lab == target or lab < target):
-                raise UsageError(f"labeling has a loose arc {v}->{w}")
+                raise UsageError("labeling has a loose arc "
+                                 f"{_game_id(sub, v)}->{_game_id(sub, w)}")
+
+
+def _report_aux(sub, tables, counters):
+    """Call ``counters.aux_costs`` with every table of the phase in game ids:
+    ``tables`` ({component: [cost dict per chain]}) for the components of
+    ``sub``, and, when ``sub`` is a ``game.Region``, the latest tables of the
+    components outside it.  Every component lies wholly inside or outside a
+    region, and the arcs outside did not change, so neither did their
+    tables."""
+    ids = sub.ids
+    if ids is not None:
+        kept = {c: ts for c, ts in counters.aux_tables.items() if c[0] not in sub.inner}
+        tables = {tuple(ids[w] for w in comp):
+                  [{(ids[v], ids[w]): c for (v, w), c in costs.items()} for costs in ts]
+                  for comp, ts in tables.items()}
+        tables = dict(sorted({**kept, **tables}.items()))
+    counters.aux_tables = tables
+    counters.aux_costs([costs for ts in tables.values() for costs in ts])
 
 
 def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                          counters=None) -> NodeLabeling:
     """Label-correcting least fixed point above ``mu`` (which must have no
-    loose arcs in the subgraph)."""
+    loose arcs in the subgraph).  The ``pinned`` nodes of ``sub``, sinks,
+    keep their labels from ``mu``."""
     counters = counters or Counters()
     require_no_loose(sub, mu)
     report = find_base_nodes(sub)
     nu = NodeLabeling.all_top(spec, sub.n)
-    tables = []
+    tables = {}
     for comp in build_auxiliary_digraph(sub, report).components:
         j = sub.priorities[comp[0]] // 2
         per_node = {w: [] for w in comp}
+        tables[comp] = []
         for k in trees.chain_indices(spec, j):
             if spec.kind == trees.SUCCINCT:
                 costs = {}
@@ -434,7 +496,7 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                     costs.update(arc_costs_succinct(sub, report, w, spec, counters))
             else:
                 costs = arc_costs_generic(sub, report, comp, j, k, spec, counters)
-            tables.append(costs)
+            tables[comp].append(costs)
             ik = min_bottleneck_cycle_costs(comp, costs)
             for w in comp:
                 per_node[w].append((k, ik[w]))
@@ -451,7 +513,9 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                 else:
                     best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
             nu[w] = best
-    counters.aux_costs(tables)
+    for b in sub.pinned:
+        nu[b] = mu[b]
+    _report_aux(sub, tables, counters)
     out = bellman_ford(sub, nu, counters)
     if not mu.leq(out):
         raise InvariantError("fixed point fell below the input labeling")
@@ -526,9 +590,10 @@ def _potential(spec, phi, values, v, d):
 
 def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     """Label-setting sweep: fixes the labels of ``base_nodes`` (all base nodes
-    of ``sub``) from ``nu``, then admits the node of minimum interlaced
-    potential and drops its incoming arcs.  Returns the pointwise minimal
-    labeling feasible in H that agrees with ``nu`` on the base nodes.
+    of ``sub``) and of the ``pinned`` nodes of ``sub`` from ``nu``, then
+    admits the node of minimum interlaced potential and drops its incoming
+    arcs.  Returns the pointwise minimal labeling feasible in H that agrees
+    with ``nu`` on the fixed nodes.
     Exact only for a tree capacity of at least the number of nodes, so a
     smaller capacity raises ``UsageError``."""
     spec = nu.spec
@@ -536,7 +601,7 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     if spec.capacity < n:
         raise UsageError(f"the label-setting engine requires tree capacity >= n = {n}")
     counters = counters or Counters()
-    S = set(base_nodes)
+    S = set(base_nodes).union(sub.pinned)
     values = [nu[v] if v in S else TOP for v in range(n)]
     d = 2 * spec.height
     phi = compute_phi(sub, base_nodes, up_to=d)
@@ -586,7 +651,8 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
 def least_fixed_point_perfect(sub, mu: NodeLabeling, spec: TreeSpec,
                               counters=None) -> NodeLabeling:
     """Label-setting least fixed point for perfect trees: lift once at every
-    base node whose out-arcs are all violated, then run Dijkstra.  Exact only
+    base node whose out-arcs are all violated, then run Dijkstra.  The
+    ``pinned`` nodes of ``sub``, sinks, keep their labels from ``mu``.  Exact only
     when the tree's capacity is at least the number of nodes, so ``dijkstra``
     raises ``UsageError`` below that; use ``least_fixed_point_lc`` there."""
     if spec.kind != trees.PERFECT:

@@ -6,6 +6,12 @@ current labeling.  Pivots switch Odd nodes onto violated (admissible) arcs;
 termination is by label monotonicity.  The final labeling is the pointwise
 minimal one feasible in the whole game, so with capacity >= n the non-top
 nodes are exactly Even's winning set.
+
+Only the first phase solves the whole strategy subgraph.  A later phase
+re-solves only the nodes R that reach a switched node: the rest of the game
+is closed under successors and keeps its arcs, so the previous labels are
+still its least fixed point above themselves, and R's least fixed point is
+taken with those labels pinned at R's boundary (``game.Region``).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import one_player, trees
 from .errors import InvariantError, UsageError
-from .game import EVEN, ODD, ParityGame, StrategySubgraph, default_strategy
+from .game import EVEN, ODD, ParityGame, Region, StrategySubgraph, default_strategy
 from .labeling import ArcStatus, NodeLabeling, arc_status, lift_arc
 from .trees import TOP, TreeSpec, tighten_target
 
@@ -166,6 +172,17 @@ def extract_even_strategy(game: ParityGame, labeling: NodeLabeling) -> dict:
     return sigma
 
 
+def _solve_region(lfp, region: Region, mu: NodeLabeling, counters) -> NodeLabeling:
+    """``mu`` with the labels of ``region`` replaced by the engine's least
+    fixed point on it."""
+    values = list(mu.values)
+    out = lfp(region, NodeLabeling(mu.spec, map(values.__getitem__, region.ids)),
+              mu.spec, counters)
+    for v, label in zip(region.ids, out.values):
+        values[v] = label
+    return NodeLabeling(mu.spec, values)
+
+
 def _engine_for(spec: TreeSpec, engine: str, n: int):
     if engine == "auto":
         engine = "perfect" if spec.kind == trees.PERFECT and spec.capacity >= n else "lc"
@@ -187,8 +204,8 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
     ``engine`` picks the 1-player fixed point routine ('auto' uses the
     label-setting engine for perfect trees of capacity >= n, label-correcting
     otherwise).
-    ``record_phases`` keeps every phase's labeling in ``phase_labels`` (the
-    engines' own results, not copies).
+    ``record_phases`` keeps every phase's labeling in ``phase_labels`` (not
+    copies: the first phase's is the engine's own result).
     ``counters`` is the ``one_player.Counters`` observer of the solve (a
     fresh one when not given): the engines tally into it and call its hooks,
     and its ``phase`` hook sees every phase before the solver checks it.
@@ -215,15 +232,17 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
     lifts = 0
     phases = 0
 
+    sub = StrategySubgraph(game, tau)
+    new = lfp(sub, mu, spec, counters)
+    solved = range(game.n)
     while True:
-        sub = StrategySubgraph(game, tau)
-        new = lfp(sub, mu, spec, counters)
         counters.phase(sub, mu, new)
         phases += 1
         if not mu.leq(new):
             raise InvariantError("labeling decreased across a phase")
         adm = _check_phase(game, tau, new)
-        lifts += sum(1 for v in range(game.n) if new[v] > mu[v])
+        old, cur = mu.values, new.values
+        lifts += sum(1 for v in solved if cur[v] > old[v])
         mu = new
         if record_phases:
             phase_labels.append(mu)
@@ -231,7 +250,12 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
             break
         if phases > phase_cap:
             raise InvariantError("phase cap exceeded; monotonicity must be broken")
-        tau = {**tau, **rule.select(game, mu, adm)}
+        switches = rule.select(game, mu, adm)
+        sub = sub.switch(switches)
+        tau = sub.tau
+        region = Region(sub, switches)
+        new = _solve_region(lfp, region, mu, counters)
+        solved = region.ids
 
     even_wins = tuple(v for v in range(game.n) if mu[v] is not TOP)
     odd_wins = tuple(v for v in range(game.n) if mu[v] is TOP)

@@ -222,6 +222,32 @@ def test_non_utf8_file_is_format_error(tmp_path, capsys, command):
     assert out == "" and err.startswith("error:") and "UTF-8" in err
 
 
+def test_missing_semicolon_is_format_error(tmp_path, capsys):
+    # exit 1 would read as a verify mismatch: a malformed statement is a
+    # format error, reported without a traceback
+    path = tmp_path / "bad.pg"
+    path.write_text("parity 1;\n0 1 0 0\n1 2 1 1;")
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot parse statement '0 1 0 0\\n1 2 1 1'\n"
+
+
+def test_inprocess_calls_share_no_state(tmp_path, capsys):
+    # the argument parser is built once per process; a --dump-aux call must
+    # not leak its flag into the next call
+    path = tmp_path / "aux.pg"
+    path.write_text(_AUX_GAME)
+    args = ["solve", str(path), "--tree", "strahler", "--capacity", "4"]
+    assert main(args + ["--dump-aux"]) == 0
+    dumped = capsys.readouterr()
+    assert dumped.err.startswith("# aux digraph, phase 1\n")
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    strip = lambda out: {k: v for k, v in json.loads(out).items() if k != "wall_ms"}
+    assert strip(plain.out) == strip(dumped.out)
+
+
 def test_bench_report_empty():
     with pytest.raises(UsageError):
         bench_report([])

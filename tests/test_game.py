@@ -44,6 +44,17 @@ def test_parse_dangling_and_duplicates():
             parse_pgsolver(text)
 
 
+@pytest.mark.parametrize("text", [
+    "parity 1;\n0 1 0 0\n1 2 1 1;",   # missing ';' joins two statements
+    "0 2 0 1 0; 1 1 1 0;",            # a space inside the successor list
+    "0 2 0 -; 1 1 1 0;",              # a bare '-'
+    "0 2 0 1,-; 1 1 1 0;",
+])
+def test_parse_malformed_successors(text):
+    with pytest.raises(FormatError, match="cannot parse statement"):
+        parse_pgsolver(text)
+
+
 def test_parse_id_gaps():
     g = parse_pgsolver("7 2 0 9; 9 1 1 7;")
     assert g.n == 2
@@ -101,6 +112,24 @@ def test_strategy_subgraph(worked):
     even_only = parse_pgsolver("0 2 0 1; 1 2 0 0;")
     sub3 = strategy_subgraph(even_only, {})
     assert set(sub3.arcs()) == set(even_only.arcs())
+
+
+def test_strategy_subgraph_switch(worked):
+    # the patched subgraph is the one built from scratch for the new strategy
+    rng = random.Random(8)
+    for _ in range(200):
+        g = gen_random(rng.randint(1, 25), rng.randint(1, 6), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        odd = g.odd_nodes()
+        sub = strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in odd})
+        switches = {v: rng.choice(g.succ[v]) for v in odd if rng.random() < 0.3}
+        got = sub.switch(switches)
+        want = strategy_subgraph(g, {**sub.tau, **switches})
+        assert (got.succ, got.pred, got.tau) == (want.succ, want.pred, want.tau)
+    sub = strategy_subgraph(worked, {0: 3, 4: 2})
+    for bad in ({0: 4}, {1: 0}):  # A->E is not an arc; B is an Even node
+        with pytest.raises(UsageError):
+            sub.switch(bad)
 
 
 def test_default_strategy(worked):

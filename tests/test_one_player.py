@@ -124,6 +124,41 @@ def test_bellman_ford_sandwich(worked, p32):
             assert mu[v] <= fix[v] <= state[v]
 
 
+def test_region_hooks_use_game_ids():
+    # on a region, bf_round sees labels keyed by game id, and the last round
+    # of the final sweep is the engine's answer on the region
+    from treelift.game import Region
+
+    class Last(Counters):
+        def __init__(self):
+            super().__init__()
+            self.keys, self.last = set(), None
+
+        def bf_round(self, values):
+            self.keys.update(values)
+            self.last = dict(values)
+
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(40):
+        g = gen_random(rng.randint(4, 30), rng.randint(2, 6), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        odd = g.odd_nodes()
+        if not odd:
+            continue
+        sub = strategy_subgraph(g, {v: g.succ[v][0] for v in odd})
+        switched = sub.switch({odd[0]: g.succ[odd[0]][-1]})
+        region = Region(switched, [odd[0]])
+        spec = TreeSpec.perfect(g.n, g.d // 2)
+        seen = Last()
+        out = least_fixed_point_lc(region, NodeLabeling.all_min(spec, region.n), spec, seen)
+        assert seen.keys <= set(region.ids)
+        if region.pinned:  # a non-TOP sink: the final sweep has a round
+            assert seen.last == dict(zip(region.ids, out.values))
+            checked += 1
+    assert checked > 20
+
+
 def _sweep(values, arcs, priorities, spec):
     """Reference drop iteration: every arc in a fixed order, pass after pass
     until one changes nothing."""

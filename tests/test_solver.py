@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -155,7 +156,10 @@ def test_race_naive_flag(worked, p32):
 def test_race_naive_random():
     # every phase of the label-correcting engine equals naive lifting on all
     # three trees, at capacity n and below it; d <= 6 because naive lifting
-    # on a height-4 perfect tree of capacity 40 alone takes ~20 s
+    # on a height-4 perfect tree of capacity 40 alone takes ~20 s.  The
+    # SwitchFirst solves of small games re-solve small regions, so the race
+    # checks the pinned boundary too, for the label-setting engine as well
+    # at capacity n
     rng = random.Random(29)
     # a game whose threshold probes need more worklist rounds than J_w has nodes
     games = [gen_random(10, 8, 3, seed=667637309)]
@@ -164,12 +168,79 @@ def test_race_naive_random():
                                 seed=rng.randint(0, 10 ** 9)))
     for g in games:
         h = g.d // 2 or 1
+        rules = (SwitchAll(), SwitchFirst()) if g.n <= 20 else (SwitchAll(),)
         for cap in (g.n, max(2, g.n // 3)):
             specs = [TreeSpec.perfect(cap, h), TreeSpec.succinct(cap, h),
                      TreeSpec.strahler(max(1, min(h, cap.bit_length() - 1)), cap, h)]
-            for spec in specs:
-                strategy_iteration_solve(g, spec, engine="lc", counters=NaiveRace(),
-                                         record_phases=False)
+            for spec, rule in itertools.product(specs, rules):
+                strategy_iteration_solve(g, spec, rule=rule, engine="lc",
+                                         counters=NaiveRace(), record_phases=False)
+        if g.n <= 20:
+            strategy_iteration_solve(g, TreeSpec.perfect(g.n, h), rule=SwitchFirst(),
+                                     engine="perfect", counters=NaiveRace(),
+                                     record_phases=False)
+
+
+class _WholeGraphRace(one_player.Counters):
+    """Re-solves every phase on the whole strategy subgraph with the engine
+    ``lfp`` and checks that the labeling and the auxiliary tables reported
+    for the phase are the ones the whole-graph solve gives."""
+
+    def __init__(self, lfp):
+        super().__init__()
+        self.lfp = lfp
+        self.tables = []
+
+    def aux_costs(self, tables):
+        self.tables = tables
+
+    def phase(self, sub, before, after):
+        whole = _Recording()
+        assert self.lfp(sub, before, before.spec, whole) == after
+        # the label-setting engine reports no tables on either path
+        assert whole.aux == ([self.tables] if whole.aux else []) and \
+            (whole.aux or self.tables == [])
+        self.tables = []
+
+
+def test_region_phases_equal_whole_graph(monkeypatch):
+    # every phase solved on a region (the nodes that reach a switched node,
+    # boundary pinned) equals the whole-graph engine on that phase, labels
+    # and auxiliary tables alike: perfect (auto and lc), succinct and
+    # strahler trees, every pivot rule, capacities n and max(2, n // 3)
+    real = {name: getattr(one_player, name)
+            for name in ("least_fixed_point_lc", "least_fixed_point_perfect")}
+    regions = []
+
+    def counting(name):
+        def engine(sub, mu, spec, counters=None):
+            if sub.pinned:
+                regions.append(sub.n)
+            return real[name](sub, mu, spec, counters)
+        return engine
+
+    for name in real:
+        monkeypatch.setattr(one_player, name, counting(name))
+    rng = random.Random(4242)
+    phases = 0
+    for i in range(30):
+        g = gen_random(rng.randint(2, 30), rng.randint(1, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        h = max(g.d // 2, 1)
+        for cap in (g.n, max(2, g.n // 3)):
+            strahler = TreeSpec.strahler(max(1, min(h, cap.bit_length() - 1)), cap, h)
+            for spec, engine in ((TreeSpec.perfect(cap, h), "auto"),
+                                 (TreeSpec.perfect(cap, h), "lc"),
+                                 (TreeSpec.succinct(cap, h), "auto"), (strahler, "auto")):
+                label_setting = engine == "auto" and spec.kind == trees.PERFECT and cap >= g.n
+                whole = real["least_fixed_point_perfect" if label_setting
+                             else "least_fixed_point_lc"]
+                for rule in (SwitchAll(), SwitchFirst(), SwitchRandom(i)):
+                    res = strategy_iteration_solve(g, spec, rule=rule, engine=engine,
+                                                   counters=_WholeGraphRace(whole),
+                                                   record_phases=False)
+                    phases += res.phases
+    assert phases > 1500 and len(regions) > 300
 
 
 class _Recording(one_player.Counters):

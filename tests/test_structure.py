@@ -1,5 +1,6 @@
 """The SCC answers of the 1-player engines against networkx: Tarjan's
-components, the base nodes' components ``k_comp`` and the ranks ``phi``."""
+components, the base nodes' components ``k_comp``, the ranks ``phi`` and
+the regions a phase re-solves."""
 
 import random
 from types import SimpleNamespace
@@ -8,8 +9,9 @@ import networkx as nx
 import pytest
 
 from treelift.errors import InvariantError
-from treelift.game import gen_random, strategy_subgraph
-from treelift.one_player import compute_phi, find_base_nodes, strongly_connected
+from treelift.game import Region, gen_random, strategy_subgraph
+from treelift.one_player import (build_auxiliary_digraph, compute_phi, find_base_nodes,
+                                 strongly_connected)
 
 SEED = 90210
 
@@ -155,3 +157,69 @@ def test_compute_phi_raises_exactly_on_even_cycles():
         else:
             compute_phi(sub, sorted(blocked))
     assert 300 < raised < 1700
+
+
+def _switched(count):
+    """``count`` seeded (old subgraph, switches, new subgraph) triples of
+    random games, each switching a random nonempty set of Odd nodes."""
+    rng = random.Random(SEED + 4)
+    made = 0
+    while made < count:
+        g = gen_random(rng.randint(2, 30), rng.randint(1, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        odd = g.odd_nodes()
+        if not odd:
+            continue
+        old = strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in odd})
+        switches = {v: rng.choice(g.succ[v])
+                    for v in rng.sample(odd, rng.randint(1, min(3, len(odd))))}
+        yield old, switches, old.switch(switches)
+        made += 1
+
+
+def _in_game_ids(region, report):
+    """A region's base-node report as {w: (K, J_w, J_w's arcs)} in game ids."""
+    ids = region.ids
+    return {ids[w]: (frozenset(ids[v] for v in report.k_comp[w]),
+                     frozenset(ids[v] for v in report.j_nodes[w]),
+                     {ids[u]: tuple(ids[x] for x in outs)
+                      for u, outs in report.j_succ[w].items()})
+            for w in report.base_nodes}
+
+
+def test_region_structure():
+    # R is the set of nodes that reach a switched node; the rest of the game
+    # is closed under successors, and its base nodes, K and J_w are the
+    # previous phase's; R's are the whole graph's; no auxiliary component
+    # meets both sides
+    outer_base = straddle_checked = 0
+    for old, switches, new in _switched(600):
+        region = Region(new, switches)
+        dig = _digraph(set(range(new.n)), new.succ)
+        want = set(switches).union(*(nx.ancestors(dig, v) for v in switches))
+        assert region.inner == want
+        inner = region.inner
+        for v in range(new.n):
+            if v not in inner:
+                assert not inner.intersection(new.succ[v])
+                assert new.succ[v] == old.succ[v]
+        # the region's own graph: R keeps its arcs, the boundary is pinned
+        ids = region.ids
+        assert list(ids) == sorted(inner.union(*(new.succ[v] for v in inner)))
+        assert {ids[b] for b in region.pinned} == set(ids) - inner
+        assert all(region.succ[b] == () for b in region.pinned)
+        assert sorted((ids[v], ids[w]) for v, w in region.arcs()) == \
+            sorted((v, w) for v in inner for w in new.succ[v])
+        whole, before = find_base_nodes(new), find_base_nodes(old)
+        graph = lambda rep, w: (rep.k_comp[w], rep.j_nodes[w], rep.j_succ[w])
+        outside = [w for w in whole.base_nodes if w not in inner]
+        assert outside == [w for w in before.base_nodes if w not in inner]
+        for w in outside:
+            assert graph(whole, w) == graph(before, w)
+            outer_base += 1
+        assert _in_game_ids(region, find_base_nodes(region)) == \
+            {w: graph(whole, w) for w in whole.base_nodes if w in inner}
+        for comp in build_auxiliary_digraph(new, whole).components:
+            assert len({v in inner for v in comp}) == 1
+            straddle_checked += 1
+    assert outer_base > 200 and straddle_checked > 500
