@@ -215,10 +215,9 @@ def validate_strategy(game: ParityGame, tau: dict) -> None:
 
 class StrategySubgraph:
     """View of the game after fixing Odd's strategy: all Even arcs plus
-    exactly the chosen Odd arcs.  Its nodes are the game's own, so ``ids``
-    is None and nothing is ``pinned`` (compare ``Region``)."""
+    exactly the chosen Odd arcs.  Every node is solved and none is
+    ``pinned`` (compare ``Region``)."""
 
-    ids = None
     pinned = ()
 
     def __init__(self, game: ParityGame, tau: dict):
@@ -262,6 +261,12 @@ class StrategySubgraph:
         return self.game.n
 
     @property
+    def nodes(self):
+        return range(self.game.n)
+
+    inner = nodes
+
+    @property
     def owners(self):
         return self.game.owners
 
@@ -277,15 +282,16 @@ class StrategySubgraph:
 
 
 class Region:
-    """The part of a strategy subgraph that reaches ``sources``, as a graph of
-    its own for the 1-player engines.
+    """The part of a strategy subgraph that reaches ``sources``, in the
+    game's node ids, for the 1-player engines.
 
-    ``inner`` is R, the nodes with a path to a source.  The boundary B holds
-    the successors of R outside R.  The nodes of R and B are numbered 0, 1,
-    ... in increasing game id, and ``ids`` maps that number back to the game
-    id.  Nodes of R keep their arcs, and nodes of B are sinks listed in
-    ``pinned``: an engine keeps their input labels.  No arc enters R from
-    outside it, so the rest of the game is closed under successors."""
+    ``inner`` is R, the nodes with a path to a source, and ``pinned`` the
+    boundary B, the successors of R outside R, sorted; ``nodes`` is R and B
+    sorted.  ``succ`` and ``pred`` are sized to the game: a node of R keeps
+    the subgraph's lists, a node of B is a sink with only its predecessors in
+    R, and every other node has neither.  An engine keeps the input labels
+    of B.  No arc enters R from outside it, so the rest of the game is closed
+    under successors."""
 
     def __init__(self, sub: StrategySubgraph, sources):
         succ, pred = sub.succ, sub.pred
@@ -297,29 +303,18 @@ class Region:
                     inner.add(u)
                     stack.append(u)
         boundary = set().union(*map(succ.__getitem__, inner)) - inner
-        ids = sorted(inner | boundary)
-        number = [0] * sub.n
-        for i, v in enumerate(ids):
-            number[v] = i
-        local = number.__getitem__
-        self.game = sub.game
+        self.game, self.owners, self.priorities = sub.game, sub.owners, sub.priorities
         self.inner = frozenset(inner)
-        self.ids = tuple(ids)
-        self.pinned = tuple(map(local, sorted(boundary)))
-        # every predecessor of a node of R lies in R; a boundary node keeps
-        # only its arcs from R
-        self.succ = tuple([tuple(map(local, succ[v])) if v in inner else ()
-                           for v in ids])
-        self.pred = tuple([tuple(map(local, pred[v])) if v in inner
-                           else tuple([local(u) for u in pred[v] if u in inner])
-                           for v in ids])
-        self.owners = tuple(map(sub.owners.__getitem__, ids))
-        self.priorities = tuple(map(sub.priorities.__getitem__, ids))
+        self.pinned = tuple(sorted(boundary))
+        self.nodes = sorted(inner | boundary)
+        # every predecessor of a node of R lies in R
+        self.succ, self.pred = [()] * sub.n, [()] * sub.n
+        for v in inner:
+            self.succ[v], self.pred[v] = succ[v], pred[v]
+        for b in boundary:
+            self.pred[b] = tuple([u for u in pred[b] if u in inner])
 
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
+    n = StrategySubgraph.n
     arcs = StrategySubgraph.arcs
 
 

@@ -12,9 +12,10 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
 
-Both also run on a ``game.Region`` of a strategy subgraph: its ``pinned``
-boundary nodes are sinks that keep their input labels, and what the engines
-report (hooks, error messages) names nodes by game id.
+Both also run on a ``game.Region`` of a strategy subgraph, in the game's
+node ids: they work on its ``nodes``, keep the input labels of its
+``pinned`` boundary nodes (sinks) and return a labeling of the whole game
+that equals the input outside its ``inner`` nodes.
 
 Both, and the public pieces they are built from, take an optional
 ``counters``: the ``Counters`` observer they tally into and report their
@@ -24,8 +25,6 @@ stages to (a fresh one when none is given).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import inf
 
@@ -47,17 +46,18 @@ class Counters:
     drops: int = 0
     bf_runs: int = 0
     # the label-correcting engine's latest cost tables, {component: one dict
-    # per chain}, in game ids: a phase on a ``game.Region`` reports the
-    # components outside it from here, as their arcs did not change
-    aux_tables: dict = field(default_factory=dict, repr=False)
+    # per chain}: a phase on a ``game.Region`` reports the components outside
+    # it from here, as their arcs did not change
+    aux_tables: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def bf_round(self, values):
         """After each round of ``_bf``, with the labels as they stand then
-        (later rounds keep mutating ``values``), keyed by game id."""
+        (later rounds keep mutating ``values``), keyed by node id."""
 
     def aux_costs(self, tables):
         """Once per label-correcting phase, before its final Bellman-Ford:
-        the auxiliary-digraph cost dicts {(v, w): cost} in game ids, one per
+        the auxiliary-digraph cost dicts {(v, w): cost}, one per
         (component, chain), components in increasing order of their least
         node and each component's chains in order; empty without base
         nodes."""
@@ -148,7 +148,7 @@ class BaseNodeReport:
     j_tops: dict = field(compare=False)
 
 
-def _base_components(n, succ, priorities):
+def _base_components(nodes, succ, priorities):
     """Base nodes by repeated SCC decomposition: the tops (nodes of maximum
     priority) of every SCC are removed, and only the survivors of a
     nontrivial SCC are decomposed again, each group on its own.  A base node
@@ -159,7 +159,7 @@ def _base_components(n, succ, priorities):
     strongly connected with no node above pi(w), so every decomposition keeps
     it inside one SCC and removes none of its nodes before w is a top."""
     found = {}
-    groups = [range(n)]
+    groups = [nodes]
     while groups:
         for comp in _induced_sccs(groups.pop(), succ):
             if len(comp) == 1:
@@ -186,7 +186,7 @@ def find_base_nodes(sub) -> BaseNodeReport:
     in which the decomposition removes w as a top, so it costs no further
     SCC pass."""
     prio = sub.priorities
-    comps = _base_components(sub.n, sub.succ, prio)
+    comps = _base_components(sub.nodes, sub.succ, prio)
     frozen = {id(K): frozenset(K) for K in comps.values()}  # one per component
     k_comp = {w: frozen[id(K)] for w, K in comps.items()}
     base = list(k_comp)
@@ -268,31 +268,7 @@ def _in_arcs(adjacency, priorities):
     return {w: out[w] for w in sorted(out)}
 
 
-class _ByGameId(Mapping):
-    """The labels ``values`` of a Bellman-Ford run on a ``game.Region`` (a
-    list over its nodes, or a dict over some of them), read by game id
-    through the region's sorted ``ids``."""
-
-    __slots__ = ("values", "ids")
-
-    def __init__(self, values, ids):
-        self.values, self.ids = values, ids
-
-    def __getitem__(self, v):
-        i = bisect_left(self.ids, v)
-        if i == len(self.ids) or self.ids[i] != v:
-            raise KeyError(v)
-        return self.values[i]
-
-    def __iter__(self):
-        keys = self.values if isinstance(self.values, dict) else range(len(self.values))
-        return (self.ids[i] for i in keys)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def _bf(values, in_arcs, spec, counters, ids=None):
+def _bf(values, in_arcs, spec, counters):
     """Drop tail labels over the arcs ``in_arcs`` lists (see ``_in_arcs``) to
     the greatest fixed point below ``values`` (mutated) with a round-based
     FIFO worklist: round one examines the in-arcs of every non-TOP head in
@@ -301,8 +277,7 @@ def _bf(values, in_arcs, spec, counters, ids=None):
     the head label, so any fair order reaches the fixed point of the
     fixed-order sweep over every arc.  Every write strictly lowers a label in
     a finite tree, so the frontier empties.  Each call counts one run in
-    ``counters.bf_runs``.  ``ids``, a region's, maps the keys of ``values``
-    to game ids for ``counters.bf_round``."""
+    ``counters.bf_runs``."""
     counters.bf_runs += 1
     frontier = [w for w in in_arcs if values[w] is not TOP]
     drops = 0
@@ -316,7 +291,7 @@ def _bf(values, in_arcs, spec, counters, ids=None):
                     values[v] = t
                     dropped[v] = None
                     drops += 1
-        counters.bf_round(values if ids is None else _ByGameId(values, ids))
+        counters.bf_round(values)
         frontier = dropped
     counters.drops += drops
     return values
@@ -328,7 +303,7 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
     the in-arcs of the labels that dropped in the round before."""
     out = labeling.copy()
     _bf(out.values, _in_arcs(enumerate(sub.succ), sub.priorities), out.spec,
-        counters or Counters(), sub.ids)
+        counters or Counters())
     return out
 
 
@@ -337,12 +312,12 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
 # ---------------------------------------------------------------------------
 
 
-def _pinned_bf(sub, report, w, in_arcs, domain, counters):
+def _pinned_bf(report, w, in_arcs, domain, counters):
     """Bellman-Ford on J_w in the tree ``domain``: every node starts at TOP
     except w, pinned to the minimum leaf.  Returns the labels."""
     values = dict.fromkeys(report.j_nodes[w], TOP)
     values[w] = trees.min_leaf(domain)
-    return _bf(values, in_arcs, domain, counters, sub.ids)
+    return _bf(values, in_arcs, domain, counters)
 
 
 def _thresholds(sub, report, w, j, k, spec, counters):
@@ -357,7 +332,7 @@ def _thresholds(sub, report, w, j, k, spec, counters):
     out = dict.fromkeys(report.j_nodes[w], INF)
     for i in range(trees.chain_length(spec, j, k)):
         domain = trees.chain_member_spec(spec, j, k, i)
-        for u, label in _pinned_bf(sub, report, w, in_arcs, domain, counters).items():
+        for u, label in _pinned_bf(report, w, in_arcs, domain, counters).items():
             if label is not TOP and out[u] is INF:
                 out[u] = i
         if INF not in out.values():
@@ -397,7 +372,7 @@ def arc_costs_succinct(sub, report, w, spec, counters=None):
         raise UsageError("arc_costs_succinct requires a succinct tree spec")
     B = spec.bits
     domain = trees.chain_member_spec(spec, sub.priorities[w] // 2, 0, B)
-    values = _pinned_bf(sub, report, w, _in_arcs(report.j_succ[w].items(), sub.priorities),
+    values = _pinned_bf(report, w, _in_arcs(report.j_succ[w].items(), sub.priorities),
                         domain, counters or Counters())
     return _arc_costs(report, w, lambda u: INF if values[u] is TOP
                       else B - trees.zeta(domain, values[u]))
@@ -437,39 +412,29 @@ def min_bottleneck_cycle_costs(comp, costs):
 # ---------------------------------------------------------------------------
 
 
-def _game_id(sub, v):
-    return v if sub.ids is None else sub.ids[v]
-
-
 def require_no_loose(sub, mu: NodeLabeling) -> None:
     """Raise ``UsageError`` at the first arc of ``sub`` (in tail, then
-    successor order) whose tail label is above its tight value, naming it
-    in game ids."""
-    spec, values, prio = mu.spec, mu.values, sub.priorities
-    for v, outs in enumerate(sub.succ):
+    successor order) whose tail label is above its tight value."""
+    spec, values, prio, succ = mu.spec, mu.values, sub.priorities, sub.succ
+    for v in sub.nodes:
         p, lab = prio[v], values[v]
-        for w in outs:
+        for w in succ[v]:
             # arc_status's comparisons, inlined: the call and the enum would
             # cost more than the check itself
             target = tighten_target(spec, values[w], p)
             if not (lab is target or lab == target or lab < target):
-                raise UsageError("labeling has a loose arc "
-                                 f"{_game_id(sub, v)}->{_game_id(sub, w)}")
+                raise UsageError(f"labeling has a loose arc {v}->{w}")
 
 
 def _report_aux(sub, tables, counters):
-    """Call ``counters.aux_costs`` with every table of the phase in game ids:
-    ``tables`` ({component: [cost dict per chain]}) for the components of
-    ``sub``, and, when ``sub`` is a ``game.Region``, the latest tables of the
-    components outside it.  Every component lies wholly inside or outside a
+    """Call ``counters.aux_costs`` with every table of the phase: ``tables``
+    ({component: [cost dict per chain]}) for the components of ``sub``, and,
+    when some node lies outside ``sub.inner``, the latest tables of the
+    components there.  Every component lies wholly inside or outside a
     region, and the arcs outside did not change, so neither did their
     tables."""
-    ids = sub.ids
-    if ids is not None:
+    if len(sub.inner) < sub.n:
         kept = {c: ts for c, ts in counters.aux_tables.items() if c[0] not in sub.inner}
-        tables = {tuple(ids[w] for w in comp):
-                  [{(ids[v], ids[w]): c for (v, w), c in costs.items()} for costs in ts]
-                  for comp, ts in tables.items()}
         tables = dict(sorted({**kept, **tables}.items()))
     counters.aux_tables = tables
     counters.aux_costs([costs for ts in tables.values() for costs in ts])
@@ -478,12 +443,15 @@ def _report_aux(sub, tables, counters):
 def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                          counters=None) -> NodeLabeling:
     """Label-correcting least fixed point above ``mu`` (which must have no
-    loose arcs in the subgraph).  The ``pinned`` nodes of ``sub``, sinks,
-    keep their labels from ``mu``."""
+    loose arcs in the subgraph).  Only the ``inner`` nodes of ``sub`` move:
+    the rest, its ``pinned`` sinks among them, keep their labels from
+    ``mu``."""
     counters = counters or Counters()
     require_no_loose(sub, mu)
     report = find_base_nodes(sub)
-    nu = NodeLabeling.all_top(spec, sub.n)
+    nu = mu.copy()
+    for v in sub.inner:
+        nu[v] = TOP
     tables = {}
     for comp in build_auxiliary_digraph(sub, report).components:
         j = sub.priorities[comp[0]] // 2
@@ -513,8 +481,6 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                 else:
                     best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
             nu[w] = best
-    for b in sub.pinned:
-        nu[b] = mu[b]
     _report_aux(sub, tables, counters)
     out = bellman_ford(sub, nu, counters)
     if not mu.leq(out):
@@ -553,7 +519,7 @@ def compute_phi(sub, base_nodes, up_to=None):
     # the SCCs of H_p in rank order, each with whether it has a cycle; for
     # p >= top, H_p is H
     level = [(comp, len(comp) > 1 or comp[0] in hsucc[comp[0]])
-             for comp in strongly_connected(range(n), hsucc)]
+             for comp in strongly_connected(sub.nodes, hsucc)]
     phi = {}
     for p in range(d, 1, -2):
         if p < top:
@@ -593,16 +559,19 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     of ``sub``) and of the ``pinned`` nodes of ``sub`` from ``nu``, then
     admits the node of minimum interlaced potential and drops its incoming
     arcs.  Returns the pointwise minimal labeling feasible in H that agrees
-    with ``nu`` on the fixed nodes.
-    Exact only for a tree capacity of at least the number of nodes, so a
-    smaller capacity raises ``UsageError``."""
+    with ``nu`` on the fixed nodes and outside ``sub.nodes``.
+    Exact only for a tree capacity of at least the number of nodes of the
+    game, so a smaller capacity raises ``UsageError``."""
     spec = nu.spec
     n = sub.n
     if spec.capacity < n:
         raise UsageError(f"the label-setting engine requires tree capacity >= n = {n}")
     counters = counters or Counters()
     S = set(base_nodes).union(sub.pinned)
-    values = [nu[v] if v in S else TOP for v in range(n)]
+    free = [v for v in sub.nodes if v not in S]
+    values = list(nu.values)
+    for v in free:
+        values[v] = TOP
     d = 2 * spec.height
     phi = compute_phi(sub, base_nodes, up_to=d)
     drops = 0
@@ -628,12 +597,11 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
         for v in sub.pred[w]:
             if v not in S:
                 drop_into(v, w)
-    for v in range(n):
-        if v not in S:
-            push(v)
+    for v in free:
+        push(v)
 
     last_pot = None
-    while len(S) < n:
+    while heap:
         pot, u = heapq.heappop(heap)
         if u in S or current.get(u) != pot:
             continue
@@ -651,14 +619,15 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
 def least_fixed_point_perfect(sub, mu: NodeLabeling, spec: TreeSpec,
                               counters=None) -> NodeLabeling:
     """Label-setting least fixed point for perfect trees: lift once at every
-    base node whose out-arcs are all violated, then run Dijkstra.  The
-    ``pinned`` nodes of ``sub``, sinks, keep their labels from ``mu``.  Exact only
-    when the tree's capacity is at least the number of nodes, so ``dijkstra``
-    raises ``UsageError`` below that; use ``least_fixed_point_lc`` there."""
+    base node whose out-arcs are all violated, then run Dijkstra.  Only the
+    ``inner`` nodes of ``sub`` move: the rest, its ``pinned`` sinks among
+    them, keep their labels from ``mu``.  Exact only when the tree's capacity
+    is at least the number of nodes of the game, so ``dijkstra`` raises
+    ``UsageError`` below that; use ``least_fixed_point_lc`` there."""
     if spec.kind != trees.PERFECT:
         raise UsageError("least_fixed_point_perfect requires a perfect tree")
     require_no_loose(sub, mu)
-    base = list(_base_components(sub.n, sub.succ, sub.priorities))
+    base = list(_base_components(sub.nodes, sub.succ, sub.priorities))
     mu2 = mu.copy()
     for v in base:
         targets = [tighten_target(spec, mu2[w], sub.priorities[v]) for w in sub.succ[v]]

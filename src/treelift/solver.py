@@ -33,7 +33,7 @@ class SwitchAll:
 
     name = "all"
 
-    def select(self, game, labeling, admissible, rng=None):
+    def select(self, game, labeling, admissible):
         best = {}
         for v, w in admissible:
             lifted = lift_arc(game, labeling, v, w)
@@ -47,7 +47,7 @@ class SwitchFirst(SwitchAll):
 
     name = "first"
 
-    def select(self, game, labeling, admissible, rng=None):
+    def select(self, game, labeling, admissible):
         v = min(t for t, _ in admissible)
         return super().select(game, labeling, [a for a in admissible if a[0] == v])
 
@@ -62,7 +62,7 @@ class SwitchRandom:
         self.seed = seed
         self.rng = random.Random(seed)
 
-    def select(self, game, labeling, admissible, rng=None):
+    def select(self, game, labeling, admissible):
         per_node = {}
         for v, w in admissible:
             per_node.setdefault(v, []).append(w)
@@ -172,17 +172,6 @@ def extract_even_strategy(game: ParityGame, labeling: NodeLabeling) -> dict:
     return sigma
 
 
-def _solve_region(lfp, region: Region, mu: NodeLabeling, counters) -> NodeLabeling:
-    """``mu`` with the labels of ``region`` replaced by the engine's least
-    fixed point on it."""
-    values = list(mu.values)
-    out = lfp(region, NodeLabeling(mu.spec, map(values.__getitem__, region.ids)),
-              mu.spec, counters)
-    for v, label in zip(region.ids, out.values):
-        values[v] = label
-    return NodeLabeling(mu.spec, values)
-
-
 def _engine_for(spec: TreeSpec, engine: str, n: int):
     if engine == "auto":
         engine = "perfect" if spec.kind == trees.PERFECT and spec.capacity >= n else "lc"
@@ -254,8 +243,8 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         sub = sub.switch(switches)
         tau = sub.tau
         region = Region(sub, switches)
-        new = _solve_region(lfp, region, mu, counters)
-        solved = region.ids
+        new = lfp(region, mu, spec, counters)
+        solved = region.inner
 
     even_wins = tuple(v for v in range(game.n) if mu[v] is not TOP)
     odd_wins = tuple(v for v in range(game.n) if mu[v] is TOP)

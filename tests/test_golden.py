@@ -1,0 +1,96 @@
+"""Byte-identity of ``treelift solve`` on a small seeded corpus.
+
+Every case of ``golden_cli.json`` solves one seeded ``gen_random`` game
+in-process with its flags; the sha256 of its exit code, stdout (with
+``wall_ms`` masked) and stderr must equal the recorded digest.  The corpus
+covers the perfect tree (auto and ``--engine lc``), succinct and strahler
+trees, all three pivot rules, capacities n and max(2, n // 3), and
+``--dump-aux`` and ``--format text`` on some solves.
+
+A change that means to alter the output rewrites the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so.
+"""
+
+import hashlib
+import io
+import json
+import random
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from treelift.cli import main
+from treelift.game import gen_random, write_pgsolver
+
+DATA = Path(__file__).with_name("golden_cli.json")
+_WALL_MS = re.compile(r'"wall_ms": [^,\n]+')
+_TREES = (["--tree", "perfect"], ["--tree", "perfect", "--engine", "lc"],
+          ["--tree", "succinct"], ["--tree", "strahler"])
+
+
+def _cases():
+    """20 games, each solved under 12 of the 24 (tree, pivot, capacity)
+    combinations, so that each combination is solved 10 times."""
+    rng = random.Random(2026)
+    combos = [(tree, pivot, third) for tree in _TREES
+              for pivot in ("all", "first", "random") for third in (False, True)]
+    cases = []
+    for i in range(20):
+        n, d = rng.randint(6, 30), rng.choice((2, 4, 6, 8))
+        game = [n, d, rng.randint(0, 10 ** 6)]
+        for j, (tree, pivot, third) in enumerate(combos):
+            if (i + j) % 2:
+                continue
+            flags = tree + ["--pivot", pivot, "--seed", str(i)]
+            if third:
+                flags += ["--capacity", str(max(2, n // 3))]
+            if j // 4 % 2 == i % 2 and tree != _TREES[0]:
+                flags.append("--dump-aux")
+            if j % 5 == 0:
+                flags += ["--format", "text"]
+            cases.append({"game": game, "flags": flags})
+    return cases
+
+
+def _digest(path, flags):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", str(path)] + flags)
+    blob = json.dumps([code, _WALL_MS.sub('"wall_ms": 0', out.getvalue()),
+                       err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _run(cases, tmp_path):
+    """The digest of every case, writing each game once."""
+    files = {}
+    for case in cases:
+        key = tuple(case["game"])
+        if key not in files:
+            files[key] = tmp_path / f"g{len(files)}.pg"
+            files[key].write_text(write_pgsolver(gen_random(key[0], key[1], 3, key[2])))
+        yield _digest(files[key], case["flags"])
+
+
+def test_golden_cli_corpus(tmp_path):
+    cases = json.loads(DATA.read_text())
+    assert len(cases) == 240
+    assert [{"game": c["game"], "flags": c["flags"]} for c in cases] == _cases()
+    got = list(_run(cases, tmp_path))
+    bad = [(c["game"], c["flags"]) for c, h in zip(cases, got) if h != c["sha256"]]
+    assert not bad, f"{len(bad)} solves changed output, first {bad[0]}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    cases = _cases()
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, digest in zip(cases, _run(cases, Path(tmp))):
+            case["sha256"] = digest
+    DATA.write_text("[\n" + ",\n".join(map(json.dumps, cases)) + "\n]\n")
+    print(f"wrote {len(cases)} cases to {DATA}", file=sys.stderr)

@@ -20,7 +20,7 @@ from treelift.one_player import (Counters, _base_components, _bf, _in_arcs,
                                  least_fixed_point_perfect,
                                  min_bottleneck_cycle_costs)
 from treelift.oracle import naive_lfp
-from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom,
+from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom, admissible_arcs,
                              strategy_iteration_solve)
 from treelift.trees import TOP, TreeSpec, tighten_target
 
@@ -124,19 +124,18 @@ def test_bellman_ford_sandwich(worked, p32):
             assert mu[v] <= fix[v] <= state[v]
 
 
-def test_region_hooks_use_game_ids():
-    # on a region, bf_round sees labels keyed by game id, and the last round
-    # of the final sweep is the engine's answer on the region
+def test_region_engines_keep_labels_outside_inner():
+    # on a region both engines return a labeling of the whole game whose
+    # labels outside R are the input's own objects, and the last round of
+    # the lc engine's final sweep is its answer; the inputs are the all-min
+    # labeling and the previous subgraph's fixed point
     from treelift.game import Region
 
     class Last(Counters):
-        def __init__(self):
-            super().__init__()
-            self.keys, self.last = set(), None
+        last = None
 
         def bf_round(self, values):
-            self.keys.update(values)
-            self.last = dict(values)
+            self.last = list(values) if isinstance(values, list) else None
 
     rng = random.Random(17)
     checked = 0
@@ -146,17 +145,26 @@ def test_region_hooks_use_game_ids():
         odd = g.odd_nodes()
         if not odd:
             continue
-        sub = strategy_subgraph(g, {v: g.succ[v][0] for v in odd})
-        switched = sub.switch({odd[0]: g.succ[odd[0]][-1]})
-        region = Region(switched, [odd[0]])
         spec = TreeSpec.perfect(g.n, g.d // 2)
-        seen = Last()
-        out = least_fixed_point_lc(region, NodeLabeling.all_min(spec, region.n), spec, seen)
-        assert seen.keys <= set(region.ids)
-        if region.pinned:  # a non-TOP sink: the final sweep has a round
-            assert seen.last == dict(zip(region.ids, out.values))
-            checked += 1
-    assert checked > 20
+        sub = strategy_subgraph(g, {v: g.succ[v][0] for v in odd})
+        low = NodeLabeling.all_min(spec, g.n)
+        fixed = least_fixed_point_perfect(sub, low, spec)
+        # a pivot onto a violated arc keeps the fixed point a valid input
+        adm = admissible_arcs(g, fixed)
+        v, w = adm[0] if adm else (odd[0], g.succ[odd[0]][-1])
+        region = Region(sub.switch({v: w}), [v])
+        for mu in (low, fixed) if adm else (low,):
+            for engine in (least_fixed_point_lc, least_fixed_point_perfect):
+                seen = Last()
+                out = engine(region, mu, spec, seen)
+                assert len(out) == g.n
+                assert all(out[v] is mu[v] for v in range(g.n) if v not in region.inner)
+                # a non-TOP sink is a head of the final sweep: it has a round
+                if engine is least_fixed_point_lc and \
+                        any(mu[b] is not TOP for b in region.pinned):
+                    assert seen.last == out.values
+                    checked += 1
+    assert checked > 30
 
 
 def _sweep(values, arcs, priorities, spec):
@@ -425,8 +433,8 @@ def test_compute_phi_even_cycle_check_matches_base_nodes():
         prio = tuple(rng.randint(1, rng.randint(1, 8)) for _ in range(n))
         succ = tuple(tuple(sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))}))
                      for _ in range(n))
-        sub = SimpleNamespace(n=n, priorities=prio, succ=succ)
-        base = list(_base_components(n, succ, prio))
+        sub = SimpleNamespace(n=n, nodes=range(n), priorities=prio, succ=succ)
+        base = list(_base_components(range(n), succ, prio))
         try:
             compute_phi(sub, ())
         except InvariantError:

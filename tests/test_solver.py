@@ -294,6 +294,22 @@ def test_one_observer_two_solves():
     both = [strategy_iteration_solve(g, spec, counters=shared).drops for spec in specs]
     assert both == alone and all(alone)
     assert shared.drops == sum(alone) and shared.bf_runs > 0
+    # after a larger game's solve, whose last auxiliary tables name nodes
+    # the smaller game lacks, the observer reports only the new solve's
+    big = gen_random(60, 6, 3, seed=10)
+    shared, alone = _Recording(), _Recording()
+    strategy_iteration_solve(big, TreeSpec.strahler(2, big.n, 3), counters=shared)
+    assert any(comp[0] >= g.n for comp in shared.aux_tables)
+    shared.aux.clear()
+    for seen in (shared, alone):
+        strategy_iteration_solve(g, specs[0], counters=seen)
+    assert shared.aux == alone.aux and len(alone.aux) > 1
+    # the tables are engine state: not compared, and no constructor argument
+    plain = one_player.Counters()
+    strategy_iteration_solve(big, TreeSpec.strahler(2, big.n, 3), counters=plain)
+    assert plain.aux_tables and plain == one_player.Counters(plain.drops, plain.bf_runs)
+    with pytest.raises(TypeError):
+        one_player.Counters(aux_tables={})
 
 
 def test_engine_overrides(worked, p32, s32):
@@ -319,7 +335,7 @@ class _CheckedRule:
         self.rule = rule
         self.calls = 0
 
-    def select(self, game, labeling, admissible, rng=None):
+    def select(self, game, labeling, admissible):
         assert admissible == admissible_arcs(game, labeling)
         self.calls += 1
         return self.rule.select(game, labeling, admissible)

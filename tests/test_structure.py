@@ -18,7 +18,8 @@ SEED = 90210
 
 def _random_digraph(rng):
     """A small digraph with self-loops and priorities in [1, 8], in the shape
-    of a strategy subgraph (``n``, ``priorities``, ``succ``, ``pred``)."""
+    of a strategy subgraph (``n``, ``nodes``, ``priorities``, ``succ``,
+    ``pred``)."""
     n = rng.randint(1, 14)
     prio = tuple(rng.randint(1, rng.randint(1, 8)) for _ in range(n))
     succ = tuple(tuple(sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))}))
@@ -27,7 +28,8 @@ def _random_digraph(rng):
     for v, outs in enumerate(succ):
         for w in outs:
             pred[w].append(v)
-    return SimpleNamespace(n=n, priorities=prio, succ=succ, pred=tuple(map(tuple, pred)))
+    return SimpleNamespace(n=n, nodes=range(n), priorities=prio, succ=succ,
+                           pred=tuple(map(tuple, pred)))
 
 
 def _graphs(count):
@@ -177,16 +179,6 @@ def _switched(count):
         made += 1
 
 
-def _in_game_ids(region, report):
-    """A region's base-node report as {w: (K, J_w, J_w's arcs)} in game ids."""
-    ids = region.ids
-    return {ids[w]: (frozenset(ids[v] for v in report.k_comp[w]),
-                     frozenset(ids[v] for v in report.j_nodes[w]),
-                     {ids[u]: tuple(ids[x] for x in outs)
-                      for u, outs in report.j_succ[w].items()})
-            for w in report.base_nodes}
-
-
 def test_region_structure():
     # R is the set of nodes that reach a switched node; the rest of the game
     # is closed under successors, and its base nodes, K and J_w are the
@@ -203,13 +195,19 @@ def test_region_structure():
             if v not in inner:
                 assert not inner.intersection(new.succ[v])
                 assert new.succ[v] == old.succ[v]
-        # the region's own graph: R keeps its arcs, the boundary is pinned
-        ids = region.ids
-        assert list(ids) == sorted(inner.union(*(new.succ[v] for v in inner)))
-        assert {ids[b] for b in region.pinned} == set(ids) - inner
+        # the region's own graph, in game ids: R keeps its arcs, the boundary
+        # is pinned, and no other node has an arc
+        nodes = region.nodes
+        assert list(nodes) == sorted(inner.union(*(new.succ[v] for v in inner)))
+        assert list(region.pinned) == sorted(set(nodes) - inner)
         assert all(region.succ[b] == () for b in region.pinned)
-        assert sorted((ids[v], ids[w]) for v, w in region.arcs()) == \
-            sorted((v, w) for v in inner for w in new.succ[v])
+        assert sorted(region.arcs()) == sorted((v, w) for v in inner for w in new.succ[v])
+        assert all(region.pred[v] == () for v in range(new.n) if v not in nodes)
+        # R shares the subgraph's lists; B keeps only its predecessors in R
+        assert all(region.succ[v] is new.succ[v] and region.pred[v] is new.pred[v]
+                   for v in inner)
+        assert all(region.pred[b] == tuple(u for u in new.pred[b] if u in inner)
+                   for b in region.pinned)
         whole, before = find_base_nodes(new), find_base_nodes(old)
         graph = lambda rep, w: (rep.k_comp[w], rep.j_nodes[w], rep.j_succ[w])
         outside = [w for w in whole.base_nodes if w not in inner]
@@ -217,7 +215,8 @@ def test_region_structure():
         for w in outside:
             assert graph(whole, w) == graph(before, w)
             outer_base += 1
-        assert _in_game_ids(region, find_base_nodes(region)) == \
+        report = find_base_nodes(region)
+        assert {w: graph(report, w) for w in report.base_nodes} == \
             {w: graph(whole, w) for w in whole.base_nodes if w in inner}
         for comp in build_auxiliary_digraph(new, whole).components:
             assert len({v in inner for v in comp}) == 1
