@@ -10,8 +10,7 @@ from .errors import (FormatError, InvariantError, LiftBudgetExceeded,
                      TreeliftError, UsageError)
 from .game import (EVEN, ODD, MeanPayoffGame, ParityGame, StrategySubgraph,
                    default_strategy, gen_random, gen_worstcase,
-                   parse_pgsolver, strategy_subgraph, to_mean_payoff,
-                   write_pgsolver)
+                   parse_pgsolver, to_mean_payoff, write_pgsolver)
 from .labeling import (ArcStatus, NodeLabeling, arc_status, drop_arc,
                        is_feasible, lift_arc, progress_measure_solve)
 from .one_player import (AuxiliaryDigraph, BaseNodeReport, Counters, bellman_ford,

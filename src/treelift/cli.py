@@ -26,13 +26,18 @@ from .trees import TreeSpec
 
 
 def _read_input(path: str) -> str:
+    """The text of the file ``path``, or of stdin for ``-``, decoded the same
+    way whatever the locale: strict UTF-8 with universal newlines."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _use_color() -> bool:

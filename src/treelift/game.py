@@ -318,10 +318,6 @@ class Region:
     arcs = StrategySubgraph.arcs
 
 
-def strategy_subgraph(game: ParityGame, tau: dict) -> StrategySubgraph:
-    return StrategySubgraph(game, tau)
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

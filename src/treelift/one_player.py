@@ -7,8 +7,10 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
   cycles) are seeded via minimum bottleneck cycles of an auxiliary digraph
   whose per-chain arc costs bracket the subtree width needed around each
   cycle.  Costs are chain positions, so the bottleneck search takes one SCC
-  pass per distinct cost, at most L = floor(log2 capacity) + 1 of them.  A
-  worklist Bellman-Ford then drops all labels to the fixed point.
+  pass per distinct cost, at most L = floor(log2 capacity) + 1 of them.
+  Each cycle's width search runs on J_w, a view of the in-arc table that
+  w's component builds once for all its base nodes.  A worklist
+  Bellman-Ford then drops all labels to the fixed point.
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
 
@@ -136,15 +138,22 @@ def _induced_sccs(nodes, succ):
 
 @dataclass(frozen=True)
 class BaseNodeReport:
-    """Base nodes of a strategy subgraph with their search scaffolding:
-    ``k_comp[w]`` is the SCC of w among nodes of priority <= pi(w), ``j_nodes``
-    the nodes that reach w inside it without crossing another dominator, and
-    ``j_succ`` the arc lists of that subgraph."""
+    """Base nodes of a strategy subgraph with their search scaffolding.
+
+    ``k_comp[w]`` is the SCC of w among nodes of priority <= pi(w).  Its tops,
+    its nodes of priority pi(w), are the base nodes that share it, as one
+    object.  J_w is the part of it that w's width search runs on:
+    ``j_nodes[w]`` holds the nodes with a path to w whose inner nodes avoid
+    the other tops, ``j_tops[w]`` the tops among them, and ``j_in[w]`` J_w's
+    arcs (those between its nodes that enter no other top) by head:
+    {head: ((tail, pi(tail)), ...)}, heads and each head's tails in
+    increasing order.  Those tuples are the component's in-arc table's own,
+    shared by all its base nodes."""
 
     base_nodes: tuple
     k_comp: dict = field(compare=False)
     j_nodes: dict = field(compare=False)
-    j_succ: dict = field(compare=False)
+    j_in: dict = field(compare=False)
     j_tops: dict = field(compare=False)
 
 
@@ -184,35 +193,31 @@ def find_base_nodes(sub) -> BaseNodeReport:
 
     ``k_comp[w]``, w's SCC among nodes of priority <= pi(w), is the component
     in which the decomposition removes w as a top, so it costs no further
-    SCC pass."""
-    prio = sub.priorities
-    comps = _base_components(sub.nodes, sub.succ, prio)
-    frozen = {id(K): frozenset(K) for K in comps.values()}  # one per component
-    k_comp = {w: frozen[id(K)] for w, K in comps.items()}
-    base = list(k_comp)
-
-    j_nodes, j_succ, j_tops = {}, {}, {}
-    for w in base:
-        K = k_comp[w]
-        others = {v for v in K if prio[v] == prio[w]} - {w}
-        reach = {w}
-        stack = [w]
+    SCC pass.  The base nodes of one component are its tops; its member set,
+    top set and in-arc table are built once, and each J_w is the reverse
+    search from w over that table that does not expand the other tops."""
+    prio, pred = sub.priorities, sub.pred
+    k_comp, j_nodes, j_in, j_tops = {}, {}, {}, {}
+    shared = {}  # id(K) -> (members, tops, in-arc table)
+    for w, K in _base_components(sub.nodes, sub.succ, prio).items():
+        if id(K) not in shared:
+            members = frozenset(K)
+            shared[id(K)] = (members, frozenset(v for v in K if prio[v] == prio[w]),
+                             {x: tuple([(u, prio[u]) for u in pred[x] if u in members])
+                              for x in K})
+        members, tops, table = shared[id(K)]
+        reach, stack = {w}, [w]
         while stack:
-            x = stack.pop()
-            if x in others:
-                continue  # incoming arcs of other dominators are deleted
-            for u in sub.pred[x]:
-                if u in K and u not in reach:
+            for u, _ in table[stack.pop()]:
+                if u not in reach:
                     reach.add(u)
-                    stack.append(u)
-        adj = {
-            u: tuple(x for x in sub.succ[u] if x in reach and x not in others)
-            for u in sorted(reach)
-        }
+                    if u not in tops:  # another top joins J_w, its in-arcs do not
+                        stack.append(u)
+        k_comp[w] = members
         j_nodes[w] = frozenset(reach)
-        j_succ[w] = adj
-        j_tops[w] = frozenset(v for v in reach if prio[v] == prio[w])
-    return BaseNodeReport(tuple(base), k_comp, j_nodes, j_succ, j_tops)
+        j_tops[w] = tops & j_nodes[w]
+        j_in[w] = {x: table[x] for x in sorted(reach) if x == w or x not in tops}
+    return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops)
 
 
 @dataclass(frozen=True)
@@ -228,11 +233,7 @@ class AuxiliaryDigraph:
 def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
     arcs = set()
     for w in report.base_nodes:
-        for v in report.j_tops[w]:
-            if v != w:
-                arcs.add((v, w))
-            elif report.j_succ[w][w]:
-                arcs.add((w, w))
+        arcs.update(_arc_costs(sub, report, w, lambda u: 0))
     adj = {v: [] for v in report.base_nodes}
     for v, w in arcs:
         adj[v].append(w)
@@ -253,24 +254,10 @@ def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
 # ---------------------------------------------------------------------------
 
 
-def _in_arcs(adjacency, priorities):
-    """{head: [(tail, priority of tail), ...]} for ``_bf`` from (tail, heads)
-    pairs in increasing tail order: heads in increasing order, each head's
-    tails in increasing order, as in a sorted arc list."""
-    out = {}
-    for v, heads in adjacency:
-        entry = (v, priorities[v])
-        for w in heads:
-            if w in out:
-                out[w].append(entry)
-            else:
-                out[w] = [entry]
-    return {w: out[w] for w in sorted(out)}
-
-
 def _bf(values, in_arcs, spec, counters):
-    """Drop tail labels over the arcs ``in_arcs`` lists (see ``_in_arcs``) to
-    the greatest fixed point below ``values`` (mutated) with a round-based
+    """Drop tail labels over the arcs ``in_arcs`` lists ({head: [(tail,
+    priority of tail), ...]}, heads and tails in increasing order) to the
+    greatest fixed point below ``values`` (mutated) with a round-based
     FIFO worklist: round one examines the in-arcs of every non-TOP head in
     increasing order, each later round only the in-arcs of the tails that
     dropped in the round before, in first-drop order.  Drop is monotone in
@@ -301,9 +288,9 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
     """Drop every label of the strategy subgraph to the greatest fixed point
     below ``labeling`` with the worklist of ``_bf``: each round examines only
     the in-arcs of the labels that dropped in the round before."""
-    out = labeling.copy()
-    _bf(out.values, _in_arcs(enumerate(sub.succ), sub.priorities), out.spec,
-        counters or Counters())
+    out, prio = labeling.copy(), sub.priorities
+    in_arcs = {x: [(u, prio[u]) for u in sub.pred[x]] for x in sub.nodes}
+    _bf(out.values, in_arcs, out.spec, counters or Counters())
     return out
 
 
@@ -312,15 +299,15 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
 # ---------------------------------------------------------------------------
 
 
-def _pinned_bf(report, w, in_arcs, domain, counters):
+def _pinned_bf(report, w, domain, counters):
     """Bellman-Ford on J_w in the tree ``domain``: every node starts at TOP
     except w, pinned to the minimum leaf.  Returns the labels."""
     values = dict.fromkeys(report.j_nodes[w], TOP)
     values[w] = trees.min_leaf(domain)
-    return _bf(values, in_arcs, domain, counters)
+    return _bf(values, report.j_in[w], domain, counters)
 
 
-def _thresholds(sub, report, w, j, k, spec, counters):
+def _thresholds(report, w, j, k, spec, counters):
     """Per node u of J_w, the smallest chain position i whose member tree
     admits a finite drop fixed point at u when w is pinned to that member's
     minimum leaf; INF when even the largest member fails.
@@ -328,11 +315,10 @@ def _thresholds(sub, report, w, j, k, spec, counters):
     Members are probed in increasing order until every node is finite, so
     the number of Bellman-Ford probes is one more than the largest finite
     threshold (the whole chain length when some threshold is INF)."""
-    in_arcs = _in_arcs(report.j_succ[w].items(), sub.priorities)
     out = dict.fromkeys(report.j_nodes[w], INF)
     for i in range(trees.chain_length(spec, j, k)):
         domain = trees.chain_member_spec(spec, j, k, i)
-        for u, label in _pinned_bf(report, w, in_arcs, domain, counters).items():
+        for u, label in _pinned_bf(report, w, domain, counters).items():
             if label is not TOP and out[u] is INF:
                 out[u] = i
         if INF not in out.values():
@@ -340,13 +326,14 @@ def _thresholds(sub, report, w, j, k, spec, counters):
     return out
 
 
-def _arc_costs(report, w, theta):
+def _arc_costs(sub, report, w, theta):
     """The auxiliary arcs (v, w) for the tops v of J_w (w itself only when it
     keeps an out-arc there), each costing the least ``theta`` over v's
-    out-neighbours in J_w."""
+    out-neighbours in J_w: its successors there that are w or not a top."""
+    nodes, tops = report.j_nodes[w], report.j_tops[w]
     costs = {}
-    for v in sorted(report.j_tops[w]):
-        outs = report.j_succ[w][v]
+    for v in sorted(tops):
+        outs = [x for x in sub.succ[v] if x in nodes and (x == w or x not in tops)]
         if v != w or outs:
             costs[(v, w)] = min(map(theta, outs), default=INF)
     return costs
@@ -359,8 +346,8 @@ def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
     counters = counters or Counters()
     costs = {}
     for w in comp:
-        theta = _thresholds(sub, report, w, j, k, spec, counters)
-        costs.update(_arc_costs(report, w, theta.__getitem__))
+        theta = _thresholds(report, w, j, k, spec, counters)
+        costs.update(_arc_costs(sub, report, w, theta.__getitem__))
     return costs
 
 
@@ -372,9 +359,8 @@ def arc_costs_succinct(sub, report, w, spec, counters=None):
         raise UsageError("arc_costs_succinct requires a succinct tree spec")
     B = spec.bits
     domain = trees.chain_member_spec(spec, sub.priorities[w] // 2, 0, B)
-    values = _pinned_bf(report, w, _in_arcs(report.j_succ[w].items(), sub.priorities),
-                        domain, counters or Counters())
-    return _arc_costs(report, w, lambda u: INF if values[u] is TOP
+    values = _pinned_bf(report, w, domain, counters or Counters())
+    return _arc_costs(sub, report, w, lambda u: INF if values[u] is TOP
                       else B - trees.zeta(domain, values[u]))
 
 

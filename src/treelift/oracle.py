@@ -9,6 +9,7 @@ fixed-point oracle against every phase of a solve.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 
@@ -149,6 +150,9 @@ def _tuple_cmp(a, b) -> int:
     return 0
 
 
+_leaf_key = cmp_to_key(_tuple_cmp)
+
+
 def _strahler_props_ok(spec: TreeSpec, comps) -> bool:
     g, B = spec.strahler_g, spec.bits
     nonempty = [c for c in comps if c]
@@ -199,14 +203,24 @@ def all_leaves(spec: TreeSpec) -> tuple:
                 rec(parts + [s], used + len(s))
 
     rec([], 0)
-    out.sort(key=cmp_to_key(_tuple_cmp))
+    out.sort(key=_leaf_key)
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _first_leaves(spec: TreeSpec, j: int) -> dict:
+    """{prefix of h - j strings: the least leaf with that prefix}."""
+    first_of = {}
+    for comps in all_leaves(spec):
+        first_of.setdefault(comps[: spec.height - j], comps)
+    return first_of
+
+
 def brute_raise(spec: TreeSpec, leaf, i: int, j: int, k: int):
-    """Literal scan over all leaves for the raise contract: the smallest leaf
-    >= the input that is the minimum of its own depth-(h-j) subtree, whose
-    root has chain index k and at least i spare bits."""
+    """Literal scan over the sorted leaves, from the input on, for the raise
+    contract: the smallest leaf >= the input that is the minimum of its own
+    depth-(h-j) subtree, whose root has chain index k and at least i spare
+    bits."""
     if spec.kind == trees.PERFECT:
         if trees.leaf_count(spec) > 10 ** 6:
             raise UsageError("tree too large to enumerate")
@@ -223,13 +237,9 @@ def brute_raise(spec: TreeSpec, leaf, i: int, j: int, k: int):
         return TOP
 
     leaves = all_leaves(spec)
-    first_of = {}
-    for comps in leaves:
-        first_of.setdefault(comps[: spec.height - j], comps)
+    first_of = _first_leaves(spec, j)
     xi = trees.components_of(spec, leaf)
-    for comps in leaves:
-        if _tuple_cmp(comps, xi) < 0:
-            continue
+    for comps in leaves[bisect_left(leaves, _leaf_key(xi), key=_leaf_key):]:
         pre = comps[: spec.height - j]
         if first_of[pre] != comps:
             continue
@@ -250,12 +260,6 @@ def brute_raise(spec: TreeSpec, leaf, i: int, j: int, k: int):
 # ---------------------------------------------------------------------------
 # ordered-tree embedding
 # ---------------------------------------------------------------------------
-
-
-def tree_height(tree) -> int:
-    if not tree:
-        return 0
-    return 1 + max(tree_height(c) for c in tree)
 
 
 def leaves_at_uniform_depth(tree, h) -> bool:

@@ -13,8 +13,8 @@ from math import inf
 import pytest
 
 from treelift import trees
-from treelift.game import (gen_random, gen_worstcase, parse_pgsolver,
-                           strategy_subgraph, write_pgsolver)
+from treelift.game import (StrategySubgraph, gen_random, gen_worstcase,
+                           parse_pgsolver, write_pgsolver)
 from treelift.labeling import NodeLabeling, is_feasible
 from treelift.one_player import (arc_costs_generic, arc_costs_succinct,
                                  build_auxiliary_digraph, dijkstra,
@@ -78,7 +78,7 @@ def test_criterion_1_worked_example_reproduction():
 def test_criterion_2_fourbase_example_base_nodes():
     with criterion(2, "worked 1-player example: base nodes and auxiliary digraph arcs"):
         game = parse_pgsolver(FOURBASE_TEXT)
-        sub = strategy_subgraph(game, {v: game.succ[v][0] for v in game.odd_nodes()})
+        sub = StrategySubgraph(game, {v: game.succ[v][0] for v in game.odd_nodes()})
         report = find_base_nodes(sub)
         name = {game.label_of(v): v for v in range(game.n)}
         w1, w2, w3, w4 = name["C"], name["H"], name["E"], name["D"]
@@ -149,7 +149,7 @@ def test_criterion_5_one_player_oracle_equivalence():
             d = rng.randint(1, 8)
             game = gen_random(n, d, 3, seed=2_000_000 + trial)
             tau = {v: rng.choice(game.succ[v]) for v in game.odd_nodes()}
-            sub = strategy_subgraph(game, tau)
+            sub = StrategySubgraph(game, tau)
             for spec in spec_trio(game):
                 mu = (_random_loose_free(sub, spec, rng) if trial % 2 else
                       NodeLabeling.all_min(spec, game.n))
@@ -221,7 +221,10 @@ def _brute_cost_bounds(sub, report, w, j, k, spec):
     """(lower, upper) cost maps for the arcs into w, by fixed-point iteration
     and by simple-path enumeration."""
     jn = sorted(report.j_nodes[w])
-    adj = report.j_succ[w]
+    adj = {u: [] for u in jn}
+    for x, tails in report.j_in[w].items():
+        for u, _ in tails:
+            adj[u].append(x)
     arcs = sorted((u, x) for u in jn for x in adj[u])
     length = trees.chain_length(spec, j, k)
 
@@ -344,7 +347,7 @@ def test_criterion_8_property_suites():
             game = gen_random(rng.randint(2, 8), rng.randint(1, 6), 3,
                               seed=rng.randint(0, 10 ** 9))
             tau = {v: rng.choice(game.succ[v]) for v in game.odd_nodes()}
-            sub = strategy_subgraph(game, tau)
+            sub = StrategySubgraph(game, tau)
             report = find_base_nodes(sub)
             if not report.base_nodes:
                 continue
@@ -370,7 +373,7 @@ def test_criterion_8_property_suites():
             game = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,
                               seed=rng.randint(0, 10 ** 9))
             tau = {v: rng.choice(game.succ[v]) for v in game.odd_nodes()}
-            sub = strategy_subgraph(game, tau)
+            sub = StrategySubgraph(game, tau)
             spec = TreeSpec.perfect(game.n, max(game.d // 2, 1))
             least_fixed_point_perfect(sub, NodeLabeling.all_min(spec, game.n), spec)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -13,11 +14,15 @@ from treelift.trees import TOP
 from .conftest import WORKED_TEXT
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, env=None):
+    """Exit code, stdout and stderr of the CLI in a new interpreter; ``stdin``
+    is text, or bytes that are sent as they are."""
+    if isinstance(stdin, str):
+        stdin = stdin.encode()
     proc = subprocess.run(
         [sys.executable, "-m", "treelift.cli", *args],
-        input=stdin, capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+        input=stdin, capture_output=True, env=env)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 @pytest.fixture
@@ -220,6 +225,18 @@ def test_non_utf8_file_is_format_error(tmp_path, capsys, command):
     assert main([command, target]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("locale_env", [{"PYTHONIOENCODING": "utf-8:strict"},
+                                        {"LC_ALL": "C"}])
+def test_non_utf8_stdin_is_format_error(locale_env):
+    # stdin is decoded as a file is, whatever the locale: neither a traceback
+    # (exit 1, verify's mismatch code) nor a surrogate-escaped node name
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
+    rc, out, err = run_cli(["solve", "-"], stdin=b'0 2 0 0 "a\xffb";',
+                           env={**env, **locale_env})
+    assert (rc, out, err) == (2, "", "error: -: not UTF-8 text (byte 10)\n")
 
 
 def test_missing_semicolon_is_format_error(tmp_path, capsys):

@@ -4,9 +4,9 @@ import pytest
 
 from treelift import game as gamemod
 from treelift.errors import FormatError, UsageError
-from treelift.game import (EVEN, ODD, compress_priorities, default_strategy,
-                           gen_random, gen_worstcase, parse_pgsolver,
-                           strategy_subgraph, to_mean_payoff, write_pgsolver)
+from treelift.game import (EVEN, ODD, StrategySubgraph, compress_priorities,
+                           default_strategy, gen_random, gen_worstcase,
+                           parse_pgsolver, to_mean_payoff, write_pgsolver)
 
 
 
@@ -101,16 +101,16 @@ def test_roundtrip(worked):
 
 
 def test_strategy_subgraph(worked):
-    sub = strategy_subgraph(worked, {0: 3, 4: 2})
+    sub = StrategySubgraph(worked, {0: 3, 4: 2})
     dropped = set(worked.arcs()) - set(sub.arcs())
     assert dropped == {(0, 1)}  # only A->B is unselected
-    sub2 = strategy_subgraph(worked, {0: 1, 4: 2})
+    sub2 = StrategySubgraph(worked, {0: 1, 4: 2})
     assert set(worked.arcs()) - set(sub2.arcs()) == {(0, 3)}
     with pytest.raises(UsageError):
-        strategy_subgraph(worked, {0: 4, 4: 2})  # A->E is not an arc
+        StrategySubgraph(worked, {0: 4, 4: 2})  # A->E is not an arc
 
     even_only = parse_pgsolver("0 2 0 1; 1 2 0 0;")
-    sub3 = strategy_subgraph(even_only, {})
+    sub3 = StrategySubgraph(even_only, {})
     assert set(sub3.arcs()) == set(even_only.arcs())
 
 
@@ -121,12 +121,12 @@ def test_strategy_subgraph_switch(worked):
         g = gen_random(rng.randint(1, 25), rng.randint(1, 6), 3,
                        seed=rng.randint(0, 10 ** 9))
         odd = g.odd_nodes()
-        sub = strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in odd})
+        sub = StrategySubgraph(g, {v: rng.choice(g.succ[v]) for v in odd})
         switches = {v: rng.choice(g.succ[v]) for v in odd if rng.random() < 0.3}
         got = sub.switch(switches)
-        want = strategy_subgraph(g, {**sub.tau, **switches})
+        want = StrategySubgraph(g, {**sub.tau, **switches})
         assert (got.succ, got.pred, got.tau) == (want.succ, want.pred, want.tau)
-    sub = strategy_subgraph(worked, {0: 3, 4: 2})
+    sub = StrategySubgraph(worked, {0: 3, 4: 2})
     for bad in ({0: 4}, {1: 0}):  # A->E is not an arc; B is an Even node
         with pytest.raises(UsageError):
             sub.switch(bad)

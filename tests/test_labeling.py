@@ -4,7 +4,7 @@ import pytest
 
 from treelift import trees
 from treelift.errors import LiftBudgetExceeded
-from treelift.game import gen_random, parse_pgsolver, strategy_subgraph
+from treelift.game import StrategySubgraph, gen_random, parse_pgsolver
 from treelift.labeling import (ArcStatus, NodeLabeling, arc_status, drop_arc,
                                is_feasible, lift_arc, progress_measure_solve)
 from treelift.trees import TOP, TreeSpec, leaf_from_components as LF
@@ -113,7 +113,7 @@ def test_is_feasible(worked, p32):
     # in the whole game: the odd arc A->B is violated
     mid = worked_middle(p32)
     assert not is_feasible(worked, mid)
-    sub = strategy_subgraph(worked, WORKED_TAU)
+    sub = StrategySubgraph(worked, WORKED_TAU)
     ok, sigma = is_feasible(sub, mid, arcs=sub.arcs(), witness=True)
     assert ok and sigma[D] == E
 

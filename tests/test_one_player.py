@@ -9,9 +9,9 @@ import pytest
 
 from treelift import one_player, trees
 from treelift.errors import InvariantError, UsageError
-from treelift.game import gen_random, parse_pgsolver, strategy_subgraph
+from treelift.game import StrategySubgraph, gen_random, parse_pgsolver
 from treelift.labeling import NodeLabeling
-from treelift.one_player import (Counters, _base_components, _bf, _in_arcs,
+from treelift.one_player import (Counters, _base_components, _bf,
                                  arc_costs_generic,
                                  arc_costs_succinct, bellman_ford,
                                  build_auxiliary_digraph,
@@ -30,11 +30,11 @@ A, B, C, D, E = range(5)
 
 
 def worked_sub(worked):
-    return strategy_subgraph(worked, WORKED_TAU)
+    return StrategySubgraph(worked, WORKED_TAU)
 
 
 def test_base_nodes_fourbase(fourbase):
-    sub = strategy_subgraph(fourbase, {v: fourbase.succ[v][0] for v in fourbase.odd_nodes()})
+    sub = StrategySubgraph(fourbase, {v: fourbase.succ[v][0] for v in fourbase.odd_nodes()})
     report = find_base_nodes(sub)
     names = sorted(fourbase.label_of(v) for v in report.base_nodes)
     assert names == ["C", "D", "E", "H"]
@@ -54,12 +54,12 @@ def test_base_nodes_worked(worked):
 
 def test_base_nodes_odd_only():
     g = parse_pgsolver("0 1 1 1; 1 3 0 0;")
-    sub = strategy_subgraph(g, {0: 1})
+    sub = StrategySubgraph(g, {0: 1})
     assert find_base_nodes(sub).base_nodes == ()
 
 
 def test_aux_digraph_fourbase(fourbase):
-    sub = strategy_subgraph(fourbase, {v: fourbase.succ[v][0] for v in fourbase.odd_nodes()})
+    sub = StrategySubgraph(fourbase, {v: fourbase.succ[v][0] for v in fourbase.odd_nodes()})
     report = find_base_nodes(sub)
     aux = build_auxiliary_digraph(sub, report)
     by_name = {fourbase.label_of(v): v for v in range(fourbase.n)}
@@ -79,7 +79,7 @@ def test_aux_digraph_worked(worked):
 
 def test_aux_digraph_empty():
     g = parse_pgsolver("0 1 1 1; 1 3 0 0;")
-    sub = strategy_subgraph(g, {0: 1})
+    sub = StrategySubgraph(g, {0: 1})
     aux = build_auxiliary_digraph(sub, find_base_nodes(sub))
     assert aux.nodes == () and aux.arcs == frozenset()
 
@@ -146,7 +146,7 @@ def test_region_engines_keep_labels_outside_inner():
         if not odd:
             continue
         spec = TreeSpec.perfect(g.n, g.d // 2)
-        sub = strategy_subgraph(g, {v: g.succ[v][0] for v in odd})
+        sub = StrategySubgraph(g, {v: g.succ[v][0] for v in odd})
         low = NodeLabeling.all_min(spec, g.n)
         fixed = least_fixed_point_perfect(sub, low, spec)
         # a pivot onto a violated arc keeps the fixed point a valid input
@@ -197,7 +197,7 @@ def test_worklist_matches_sweep(monkeypatch):
     for _ in range(25):
         g = gen_random(rng.randint(2, 40), rng.randint(2, 8), 3,
                        seed=rng.randint(0, 10 ** 9))
-        sub = strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in g.odd_nodes()})
+        sub = StrategySubgraph(g, {v: rng.choice(g.succ[v]) for v in g.odd_nodes()})
         report = find_base_nodes(sub)
         h = g.d // 2
         for spec in (TreeSpec.perfect(g.n, h), TreeSpec.succinct(g.n, h),
@@ -205,15 +205,14 @@ def test_worklist_matches_sweep(monkeypatch):
             strategy_iteration_solve(g, spec, engine="lc", record_phases=False)
             for w in report.base_nodes:
                 jn = sorted(report.j_nodes[w])
-                arcs = sorted((u, x) for u in jn for x in report.j_succ[w][u])
+                arcs = sorted((u, x) for x, tails in report.j_in[w].items() for u, _ in tails)
                 j = g.priorities[w] // 2
                 for k in trees.chain_indices(spec, j):
                     for i in range(trees.chain_length(spec, j, k)):
                         domain = trees.chain_member_spec(spec, j, k, i)
                         start = dict.fromkeys(jn, TOP)
                         start[w] = trees.min_leaf(domain)
-                        got = _bf(dict(start), _in_arcs(report.j_succ[w].items(), g.priorities),
-                                  domain, Counters())
+                        got = _bf(dict(start), report.j_in[w], domain, Counters())
                         assert got == _sweep(start, arcs, g.priorities, domain)
                         probes += 1
     assert probes > 500 and len(finals) > 100
@@ -251,10 +250,10 @@ def test_bf_walk_longer_than_nodes():
     start = dict.fromkeys((0, 2, 3, 4, 6, 7), TOP)
     start[1] = (0, 0, 0)
     rounds = _Rounds()
-    adjacency = {}
-    for v, w in arcs:
-        adjacency.setdefault(v, []).append(w)
-    got = _bf(dict(start), _in_arcs(sorted(adjacency.items()), prio), spec, rounds)
+    in_arcs = {}
+    for v, w in sorted(arcs):
+        in_arcs.setdefault(w, []).append((v, prio[v]))
+    got = _bf(dict(start), dict(sorted(in_arcs.items())), spec, rounds)
     assert got == _sweep(dict(start), arcs, prio, spec)
     assert got[6] == (0, 0, 1) and len(rounds.seen) == 8
 
@@ -269,7 +268,7 @@ def test_arc_costs_worked_perfect(worked, p32):
 def test_arc_costs_even_cycle_succinct():
     # J_w that is a single all-even-priority cycle: the path member suffices
     g = parse_pgsolver("0 2 0 1; 1 2 0 0;")
-    sub = strategy_subgraph(g, {})
+    sub = StrategySubgraph(g, {})
     spec = TreeSpec.succinct(2, 1)
     report = find_base_nodes(sub)
     for w in report.base_nodes:
@@ -278,7 +277,7 @@ def test_arc_costs_even_cycle_succinct():
 
 
 def test_arc_costs_succinct_matches_generic(fourbase):
-    sub = strategy_subgraph(fourbase, {v: fourbase.succ[v][0] for v in fourbase.odd_nodes()})
+    sub = StrategySubgraph(fourbase, {v: fourbase.succ[v][0] for v in fourbase.odd_nodes()})
     spec = TreeSpec.succinct(fourbase.n, fourbase.d // 2)
     report = find_base_nodes(sub)
     aux = build_auxiliary_digraph(sub, report)
@@ -295,7 +294,7 @@ def test_arc_costs_infeasible_is_inf():
     # every path back to the base crosses three odd-priority nodes in a row:
     # more strict increments than any chain member of the 3-leaf tree absorbs
     g = parse_pgsolver("0 2 0 1; 1 1 0 2; 2 1 0 3; 3 1 0 0;")
-    sub = strategy_subgraph(g, {})
+    sub = StrategySubgraph(g, {})
     spec = TreeSpec.succinct(2, 1)
     report = find_base_nodes(sub)
     costs = {}
@@ -314,7 +313,7 @@ def test_arc_cost_keys_are_aux_arcs():
         g = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,
                        seed=rng.randint(0, 10 ** 9))
         tau = {v: rng.choice(g.succ[v]) for v in g.odd_nodes()}
-        sub = strategy_subgraph(g, tau)
+        sub = StrategySubgraph(g, tau)
         report = find_base_nodes(sub)
         aux = build_auxiliary_digraph(sub, report)
         h = g.d // 2
@@ -372,14 +371,14 @@ def test_lfp_lc_worked(worked, p32):
     out = least_fixed_point_lc(sub, mu, p32)
     assert out.values == [(0, 1), (0, 2), (1, 0), (0, 0), (1, 0)]
 
-    sub2 = strategy_subgraph(worked, {A: B, E: C})
+    sub2 = StrategySubgraph(worked, {A: B, E: C})
     out2 = least_fixed_point_lc(sub2, out, p32)
     assert out2.values == [TOP, TOP, (1, 0), (0, 0), (1, 0)]
 
 
 def test_lfp_lc_no_even_cycle(p32):
     g = parse_pgsolver("0 1 1 1; 1 3 0 0;")
-    sub = strategy_subgraph(g, {0: 1})
+    sub = StrategySubgraph(g, {0: 1})
     spec = TreeSpec.perfect(2, 2)
     out = least_fixed_point_lc(sub, NodeLabeling.all_min(spec, 2), spec)
     assert all(x is TOP for x in out.values)
@@ -482,7 +481,7 @@ def test_engines_agree_random():
         g = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,
                        seed=rng.randint(0, 10 ** 9))
         tau = {v: rng.choice(g.succ[v]) for v in g.odd_nodes()}
-        sub = strategy_subgraph(g, tau)
+        sub = StrategySubgraph(g, tau)
         h = g.d // 2
         for spec in (TreeSpec.perfect(g.n, h), TreeSpec.succinct(g.n, h)):
             mu = NodeLabeling.all_min(spec, g.n)
@@ -559,7 +558,7 @@ def test_base_seed_between_lfp_and_threshold():
         g = gen_random(rng.randint(2, 8), rng.randint(1, 4), 3,
                        seed=rng.randint(0, 10 ** 9))
         tau = {v: rng.choice(g.succ[v]) for v in g.odd_nodes()}
-        sub = strategy_subgraph(g, tau)
+        sub = StrategySubgraph(g, tau)
         spec = TreeSpec.perfect(g.n, g.d // 2)
         mu = NodeLabeling.all_min(spec, g.n)
         fix = naive_lfp(sub, mu, spec)
@@ -582,14 +581,14 @@ _OPTIMIZED_CHECK = """
 import sys
 from treelift import one_player
 from treelift.errors import InvariantError
-from treelift.game import parse_pgsolver, strategy_subgraph
+from treelift.game import StrategySubgraph, parse_pgsolver
 from treelift.labeling import NodeLabeling
 from treelift.trees import TreeSpec
 
 if __debug__:
     sys.exit(3)
 game = parse_pgsolver(sys.argv[1])
-sub = strategy_subgraph(game, {0: 3, 4: 2})
+sub = StrategySubgraph(game, {0: 3, 4: 2})
 spec = TreeSpec.perfect(3, 2)
 mu = one_player.least_fixed_point_lc(sub, NodeLabeling.all_min(spec, game.n), spec)
 one_player.bellman_ford = lambda sub, lab, counters=None: NodeLabeling.all_min(spec, sub.n)

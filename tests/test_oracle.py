@@ -4,8 +4,8 @@ import pytest
 
 from treelift import trees
 from treelift.errors import UsageError
-from treelift.game import (from_description, gen_random, parse_pgsolver,
-                           strategy_subgraph)
+from treelift.game import (StrategySubgraph, from_description, gen_random,
+                           parse_pgsolver)
 from treelift.labeling import NodeLabeling, progress_measure_solve
 from treelift.oracle import (brute_raise, embed_check, naive_lfp,
                              zielonka_solve)
@@ -44,7 +44,7 @@ def test_zielonka_self_duality():
 
 
 def test_naive_lfp_worked_example(worked, p32):
-    sub = strategy_subgraph(worked, WORKED_TAU)
+    sub = StrategySubgraph(worked, WORKED_TAU)
     out = naive_lfp(sub, NodeLabeling.all_min(p32, worked.n), p32)
     assert out.values == [(0, 1), (0, 2), (1, 0), (0, 0), (1, 0)]
     # fixed points stay put
@@ -53,7 +53,7 @@ def test_naive_lfp_worked_example(worked, p32):
 
 def test_naive_lfp_order_insensitive(worked, p32):
     # round-robin (oracle) vs FIFO worklist (baseline) reach the same point
-    sub = strategy_subgraph(worked, WORKED_TAU)
+    sub = StrategySubgraph(worked, WORKED_TAU)
     start = NodeLabeling.all_min(p32, worked.n)
     a = naive_lfp(sub, start, p32)
     b = progress_measure_solve(worked, p32, strategy=WORKED_TAU, start=start)

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from treelift.errors import InvariantError
-from treelift.game import Region, gen_random, strategy_subgraph
+from treelift.game import Region, StrategySubgraph, gen_random
 from treelift.one_player import (build_auxiliary_digraph, compute_phi, find_base_nodes,
                                  strongly_connected)
 
@@ -42,7 +42,7 @@ def _graphs(count):
         else:
             g = gen_random(rng.randint(1, 14), rng.randint(1, 8), 3,
                            seed=rng.randint(0, 10 ** 9))
-            yield strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in g.odd_nodes()})
+            yield StrategySubgraph(g, {v: rng.choice(g.succ[v]) for v in g.odd_nodes()})
 
 
 def _digraph(nodes, succ):
@@ -172,7 +172,7 @@ def _switched(count):
         odd = g.odd_nodes()
         if not odd:
             continue
-        old = strategy_subgraph(g, {v: rng.choice(g.succ[v]) for v in odd})
+        old = StrategySubgraph(g, {v: rng.choice(g.succ[v]) for v in odd})
         switches = {v: rng.choice(g.succ[v])
                     for v in rng.sample(odd, rng.randint(1, min(3, len(odd))))}
         yield old, switches, old.switch(switches)
@@ -209,7 +209,7 @@ def test_region_structure():
         assert all(region.pred[b] == tuple(u for u in new.pred[b] if u in inner)
                    for b in region.pinned)
         whole, before = find_base_nodes(new), find_base_nodes(old)
-        graph = lambda rep, w: (rep.k_comp[w], rep.j_nodes[w], rep.j_succ[w])
+        graph = lambda rep, w: (rep.k_comp[w], rep.j_nodes[w], rep.j_in[w])
         outside = [w for w in whole.base_nodes if w not in inner]
         assert outside == [w for w in before.base_nodes if w not in inner]
         for w in outside:
@@ -222,3 +222,40 @@ def test_region_structure():
             assert len({v in inner for v in comp}) == 1
             straddle_checked += 1
     assert outer_base > 200 and straddle_checked > 500
+
+
+def _check_scaffolding(sub):
+    """J_w, its tops and its in-arcs from their definitions, and the
+    auxiliary components from the base nodes' shared components; returns
+    the number of base nodes."""
+    prio = sub.priorities
+    report = find_base_nodes(sub)
+    for w in report.base_nodes:
+        K = report.k_comp[w]
+        others = {v for v in K if prio[v] == prio[w]} - {w}
+        # a path to w whose inner nodes avoid the other tops: its first node
+        # is w, or reaches w in K without them, or is a top with an arc there
+        inner = _digraph(K - others, sub.succ)
+        reach = nx.ancestors(inner, w) | {w}
+        want = reach | {v for v in others if reach.intersection(sub.succ[v])}
+        assert report.j_nodes[w] == want
+        assert report.j_tops[w] == {v for v in want if prio[v] == prio[w]}
+        # J_w has every arc inside it except those into another top
+        arcs = sorted((x, u) for u in want for x in sub.succ[u]
+                      if x in want and x not in others)
+        assert list(report.j_in[w]) == sorted({x for x, _ in arcs})
+        assert [(x, u) for x, tails in report.j_in[w].items() for u, _ in tails] == arcs
+        assert all(p == prio[u] for tails in report.j_in[w].values() for u, p in tails)
+    groups = {}
+    for w in report.base_nodes:
+        groups.setdefault(id(report.k_comp[w]), []).append(w)
+    assert build_auxiliary_digraph(sub, report).components == \
+        tuple(sorted(map(tuple, groups.values())))
+    return len(report.base_nodes)
+
+
+def test_base_node_scaffolding_from_definition():
+    seen = sum(_check_scaffolding(sub) for sub in _graphs(2000))
+    seen_region = sum(_check_scaffolding(Region(new, switches))
+                      for _, switches, new in _switched(600))
+    assert seen > 1000 and seen_region > 300
