@@ -137,6 +137,10 @@ def cmd_solve(args) -> int:
     game = gamemod.parse_pgsolver(_read_input(args.input))
     if args.engine in ("perfect", "dijkstra") and args.tree != trees.PERFECT:
         raise UsageError(f"engine {args.engine!r} requires --tree perfect")
+    if args.strahler_g is not None and args.tree != trees.STRAHLER:
+        raise UsageError("--strahler-g requires --tree strahler")
+    if args.budget is not None and args.algo != "progress":
+        raise UsageError("--budget requires --algo progress")
     payload = _solve_one(game, args)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))

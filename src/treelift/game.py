@@ -2,7 +2,7 @@
 
 The PGSolver format accepted here:
 
-    parity <maxid>;            (optional header)
+    parity <maxid>;            (optional header, exactly this shape)
     <id> <priority> <owner> <succ>(,<succ>)* ["name"];
 
 with owner 0 = Even and 1 = Odd.  Priorities >= 0 are accepted and compressed
@@ -131,6 +131,7 @@ _NODE_RE = re.compile(
     r"(?P<succs>[-\d,\s]*?)\s*(?:\"(?P<name>[^\"]*)\")?$"
 )
 _SUCC_RE = re.compile(r"-?\d+")
+_HEADER_RE = re.compile(r"parity\s+\d+")
 
 
 def parse_pgsolver(text: str) -> ParityGame:
@@ -141,7 +142,7 @@ def parse_pgsolver(text: str) -> ParityGame:
     for stmt in statements:
         if not stmt:
             continue
-        if stmt.startswith("parity"):
+        if _HEADER_RE.fullmatch(stmt):
             continue
         m = _NODE_RE.match(stmt)
         if not m:

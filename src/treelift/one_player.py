@@ -6,13 +6,21 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
 * ``least_fixed_point_lc``: label-correcting.  Base nodes (dominators of even
   cycles) are seeded via minimum bottleneck cycles of an auxiliary digraph
   whose per-chain arc costs bracket the subtree width needed around each
-  cycle.  Costs are chain positions, so the bottleneck search takes one SCC
-  pass per distinct cost, at most L = floor(log2 capacity) + 1 of them.
-  Each cycle's width search runs on J_w, a view of the in-arc table that
-  w's component builds once for all its base nodes.  A worklist
-  Bellman-Ford then drops all labels to the fixed point.
+  cycle.  The auxiliary digraph's components are the base nodes' own
+  components, read off the base-node report.  Costs are chain positions, so
+  the bottleneck search takes one SCC pass per distinct cost, at most
+  L = floor(log2 capacity) + 1 of them.  Each cycle's width search runs on
+  J_w, a view of the in-arc table that w's component builds once for all
+  its base nodes.  A worklist Bellman-Ford then drops all labels to the
+  fixed point.
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
+
+Both start from one layered SCC split by priority, ``_layers``: for each
+even p from the top down, the SCCs among the nodes of priority <= p.  Its
+cyclic components give the base nodes, and its levels over the graph
+without the base nodes' out-arcs give the topological index phi of the
+label-setting engine's potentials.
 
 Both also run on a ``game.Region`` of a strategy subgraph, in the game's
 node ids: they work on its ``nodes``, keep the input labels of its
@@ -77,14 +85,17 @@ class Counters:
 
 def strongly_connected(nodes, succ):
     """SCCs of the digraph on ``nodes`` (a sequence of small non-negative
-    ints) with arcs ``v -> w`` for ``w`` in ``succ[v]``.  Every listed head
-    must lie in ``nodes``: callers pass adjacency lists already restricted to
-    the subgraph.  Components are emitted in reverse topological order of the
-    condensation (sinks first), each in the order the stack pops it."""
-    size = max(nodes, default=-1) + 1
-    index = [0] * size      # DFS number from 1; 0 = unvisited
+    ints) with arcs ``v -> w`` for ``w`` in ``succ[v]`` that lie in
+    ``nodes``: heads outside it are skipped, so callers pass the full
+    successor lists (a list, or a dict with a key per node).  Components are
+    emitted in reverse topological order of the condensation (sinks first),
+    each in the order the stack pops it."""
+    size = max(len(succ), max(nodes, default=-1) + 1)
+    done = size + 1         # index of a non-member or of a node already in a component
+    index = [done] * size   # DFS number from 1; 0 = unvisited member
+    for v in nodes:
+        index[v] = 0
     low = [0] * size
-    done = size + 1         # index of a node already in a component
     stack, comps = [], []
     counter = 0
     for root in nodes:
@@ -104,7 +115,7 @@ def strongly_connected(nodes, succ):
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
-                if iw < low[v]:  # on the stack: finished nodes read `done`
+                if iw < low[v]:  # on the stack: the others read `done`
                     low[v] = iw
             else:
                 work.pop()
@@ -125,10 +136,34 @@ def strongly_connected(nodes, succ):
     return comps
 
 
-def _induced_sccs(nodes, succ):
-    """``strongly_connected`` on the subgraph of ``succ`` induced by ``nodes``."""
-    keep = set(nodes)
-    return strongly_connected(nodes, {v: [w for w in succ[v] if w in keep] for v in nodes})
+def _layers(nodes, succ, prio, up_to=0):
+    """For each even p from max(top, ``up_to``) down to 2, where top is the
+    largest priority rounded up to even: p and the SCCs of the digraph on the
+    ``nodes`` of priority <= p (arcs as for ``strongly_connected``), each as
+    (comp, cyclic) in rank order, sinks first.
+
+    The first level is one SCC pass over ``nodes``.  Each later one keeps,
+    in place, the components that lose no node and splits each that does by
+    one pass over its remaining nodes (an acyclic one is a single node, so
+    it only stays or goes).  Every cycle and every path of a level is one of
+    the level above, so the order stays topological."""
+    def sccs(group):
+        return [(c, len(c) > 1 or c[0] in succ[c[0]]) for c in strongly_connected(group, succ)]
+
+    top = max(prio)
+    top += top % 2
+    level = sccs(nodes)
+    for p in range(max(top, up_to), 1, -2):
+        if p < top:
+            split = []
+            for comp, cyclic in level:
+                keep = [v for v in comp if prio[v] <= p]
+                if len(keep) == len(comp):
+                    split.append((comp, cyclic))
+                elif keep:
+                    split.extend(sccs(keep))
+            level = split
+        yield p, level
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +177,8 @@ class BaseNodeReport:
 
     ``k_comp[w]`` is the SCC of w among nodes of priority <= pi(w).  Its tops,
     its nodes of priority pi(w), are the base nodes that share it, as one
-    object.  J_w is the part of it that w's width search runs on:
+    object; ``components`` lists those groups, each in increasing order, by
+    their least node.  J_w is the part of it that w's width search runs on:
     ``j_nodes[w]`` holds the nodes with a path to w whose inner nodes avoid
     the other tops, ``j_tops[w]`` the tops among them, and ``j_in[w]`` J_w's
     arcs (those between its nodes that enter no other top) by head:
@@ -155,57 +191,42 @@ class BaseNodeReport:
     j_nodes: dict = field(compare=False)
     j_in: dict = field(compare=False)
     j_tops: dict = field(compare=False)
+    components: tuple = field(compare=False)
 
 
 def _base_components(nodes, succ, priorities):
-    """Base nodes by repeated SCC decomposition: the tops (nodes of maximum
-    priority) of every SCC are removed, and only the survivors of a
-    nontrivial SCC are decomposed again, each group on its own.  A base node
-    is a top of a cyclic SCC whose maximum priority is even.
-
-    Returns {w: K} in increasing order of w, where K is the SCC in which w was
-    removed.  K is w's SCC among the nodes of priority <= pi(w): that SCC is
-    strongly connected with no node above pi(w), so every decomposition keeps
-    it inside one SCC and removes none of its nodes before w is a top."""
+    """Base nodes, {w: K} in increasing order of w: for each even p, the
+    nodes of priority p in each cyclic SCC K of the digraph on the nodes of
+    priority <= p (one ``_layers`` split).  The tops of one K share it as
+    one list."""
     found = {}
-    groups = [nodes]
-    while groups:
-        for comp in _induced_sccs(groups.pop(), succ):
-            if len(comp) == 1:
-                v = comp[0]
-                if priorities[v] % 2 == 0 and v in succ[v]:
-                    found[v] = comp
-                continue
-            p = max(priorities[v] for v in comp)
-            rest = [v for v in comp if priorities[v] != p]
-            if p % 2 == 0:
+    for p, level in _layers(nodes, succ, priorities):
+        for comp, cyclic in level:
+            if cyclic:
                 for v in comp:
                     if priorities[v] == p:
                         found[v] = comp
-            if rest:
-                groups.append(rest)
     return dict(sorted(found.items()))
 
 
 def find_base_nodes(sub) -> BaseNodeReport:
-    """Detect all dominators of even cycles by repeated SCC decomposition and
+    """Detect all dominators of even cycles by one layered SCC split and
     build, for each, the subgraph its width search runs on.
 
-    ``k_comp[w]``, w's SCC among nodes of priority <= pi(w), is the component
-    in which the decomposition removes w as a top, so it costs no further
-    SCC pass.  The base nodes of one component are its tops; its member set,
-    top set and in-arc table are built once, and each J_w is the reverse
-    search from w over that table that does not expand the other tops."""
+    The base nodes of one component are its tops; its member set, top set
+    and in-arc table are built once, and each J_w is the reverse search from
+    w over that table that does not expand the other tops."""
     prio, pred = sub.priorities, sub.pred
     k_comp, j_nodes, j_in, j_tops = {}, {}, {}, {}
-    shared = {}  # id(K) -> (members, tops, in-arc table)
+    shared = {}  # id(K) -> (members, tops, in-arc table, base nodes)
     for w, K in _base_components(sub.nodes, sub.succ, prio).items():
         if id(K) not in shared:
             members = frozenset(K)
             shared[id(K)] = (members, frozenset(v for v in K if prio[v] == prio[w]),
                              {x: tuple([(u, prio[u]) for u in pred[x] if u in members])
-                              for x in K})
-        members, tops, table = shared[id(K)]
+                              for x in K}, [])
+        members, tops, table, group = shared[id(K)]
+        group.append(w)
         reach, stack = {w}, [w]
         while stack:
             for u, _ in table[stack.pop()]:
@@ -217,7 +238,8 @@ def find_base_nodes(sub) -> BaseNodeReport:
         j_nodes[w] = frozenset(reach)
         j_tops[w] = tops & j_nodes[w]
         j_in[w] = {x: table[x] for x in sorted(reach) if x == w or x not in tops}
-    return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops)
+    components = tuple(sorted(tuple(group) for *_, group in shared.values()))
+    return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops, components)
 
 
 @dataclass(frozen=True)
@@ -231,6 +253,11 @@ class AuxiliaryDigraph:
 
 
 def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
+    """The auxiliary digraph of ``report``'s base nodes with its SCCs, which
+    are ``report.components``: each arc (v, w) has v among the tops of K_w,
+    and a path inside K between two tops splits at its tops into auxiliary
+    arcs.  A reference for the tests; the engine reads the components off
+    the report."""
     arcs = set()
     for w in report.base_nodes:
         arcs.update(_arc_costs(sub, report, w, lambda u: 0))
@@ -439,7 +466,7 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
     for v in sub.inner:
         nu[v] = TOP
     tables = {}
-    for comp in build_auxiliary_digraph(sub, report).components:
+    for comp in report.components:
         j = sub.priorities[comp[0]] // 2
         per_node = {w: [] for w in comp}
         tables[comp] = []
@@ -483,14 +510,8 @@ def compute_phi(sub, base_nodes, up_to=None):
     """Per even priority p: a topological index on H_p (H = the subgraph with
     all out-arcs of ``base_nodes`` removed, H_p its nodes of priority <= p):
     0 above priority p, otherwise constant exactly on SCCs and nonincreasing
-    along reachability.
-
-    One SCC pass over H ranks its SCCs in Tarjan's order (sinks first).  Below
-    that, phi[p] ranks the pairs (phi[p + 2], rank inside the group), where
-    each SCC of H_{p+2} that loses a node is split by one pass over its
-    nodes of priority <= p (an acyclic one is a single node, so it only
-    stays or goes).  Every cycle of H_p lies in one SCC of H_{p+2}, and every
-    path of H_p is one of H_{p+2}, so the pairs keep both properties.
+    along reachability.  phi[p] is the rank of each node's SCC in H_p's
+    ``_layers`` level.
 
     H has an even cycle exactly when some node of an even priority p lies on
     a cycle of H_p, i.e. in a cyclic SCC of H_p; that raises
@@ -499,25 +520,8 @@ def compute_phi(sub, base_nodes, up_to=None):
     prio = sub.priorities
     blocked = set(base_nodes)
     hsucc = [(() if v in blocked else sub.succ[v]) for v in range(n)]
-    top = max(prio)
-    top += top % 2
-    d = top if up_to is None else max(top, up_to)
-    # the SCCs of H_p in rank order, each with whether it has a cycle; for
-    # p >= top, H_p is H
-    level = [(comp, len(comp) > 1 or comp[0] in hsucc[comp[0]])
-             for comp in strongly_connected(sub.nodes, hsucc)]
     phi = {}
-    for p in range(d, 1, -2):
-        if p < top:
-            split = []
-            for comp, cyclic in level:
-                keep = [v for v in comp if prio[v] <= p]
-                if len(keep) == len(comp):
-                    split.append((comp, cyclic))   # whole in H_p: still one SCC
-                elif keep:
-                    split.extend((c, len(c) > 1 or c[0] in hsucc[c[0]])
-                                 for c in _induced_sccs(keep, hsucc))
-            level = split
+    for p, level in _layers(sub.nodes, hsucc, prio, up_to or 0):
         val = [0] * n
         for rank, (comp, cyclic) in enumerate(level, start=1):
             for v in comp:

@@ -79,6 +79,21 @@ def test_solve_usage_errors(tmp_path, worked_path):
     assert rc == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("tree", ["perfect", "succinct"])
+def test_strahler_g_needs_strahler_tree(worked_path, tree, capsys):
+    assert main(["solve", worked_path, "--tree", tree, "--strahler-g", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "--strahler-g" in err
+    assert main(["solve", worked_path, "--tree", "strahler", "--strahler-g", "1"]) == 0
+
+
+def test_budget_needs_progress_algo(worked_path, capsys):
+    assert main(["solve", worked_path, "--budget", "1000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "--budget" in err
+    assert main(["solve", worked_path, "--algo", "progress", "--budget", "1000"]) == 0
+
+
 def test_solve_tree_object_same_for_both_algos(worked_path):
     objs = []
     for algo in ("strategy", "progress"):

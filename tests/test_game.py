@@ -55,6 +55,18 @@ def test_parse_malformed_successors(text):
         parse_pgsolver(text)
 
 
+@pytest.mark.parametrize("header", ["parity 5", "parity\t12", " parity  0 "])
+def test_parse_header_accepted(header):
+    assert parse_pgsolver(f"{header}; 0 2 0 1; 1 1 1 0;").n == 2
+
+
+@pytest.mark.parametrize("header", ["parityjunk here", "parity", "parity 5 6",
+                                    "parity x", "parity -1", "parity5"])
+def test_parse_loose_header_is_format_error(header):
+    with pytest.raises(FormatError, match="cannot parse statement"):
+        parse_pgsolver(f"{header}; 0 2 0 1; 1 1 1 0;")
+
+
 def test_parse_id_gaps():
     g = parse_pgsolver("7 2 0 9; 9 1 1 7;")
     assert g.n == 2

@@ -81,6 +81,9 @@ def test_strongly_connected_matches_networkx():
         keep = set(nodes)
         adj = {v: [w for w in sub.succ[v] if w in keep] for v in nodes}
         comps = strongly_connected(nodes, adj)
+        # the full successor lists skip the heads outside ``nodes``: the same
+        # components in the same order
+        assert strongly_connected(nodes, sub.succ) == comps
         dig = _digraph(keep, sub.succ)
         assert sorted(map(sorted, comps)) == sorted(
             map(sorted, nx.strongly_connected_components(dig)))
@@ -226,8 +229,8 @@ def test_region_structure():
 
 def _check_scaffolding(sub):
     """J_w, its tops and its in-arcs from their definitions, and the
-    auxiliary components from the base nodes' shared components; returns
-    the number of base nodes."""
+    auxiliary components and ``report.components`` from the base nodes'
+    shared components; returns the number of base nodes."""
     prio = sub.priorities
     report = find_base_nodes(sub)
     for w in report.base_nodes:
@@ -251,6 +254,7 @@ def _check_scaffolding(sub):
         groups.setdefault(id(report.k_comp[w]), []).append(w)
     assert build_auxiliary_digraph(sub, report).components == \
         tuple(sorted(map(tuple, groups.values())))
+    assert report.components == build_auxiliary_digraph(sub, report).components
     return len(report.base_nodes)
 
 
