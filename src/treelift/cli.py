@@ -141,6 +141,11 @@ def cmd_solve(args) -> int:
         raise UsageError("--strahler-g requires --tree strahler")
     if args.budget is not None and args.algo != "progress":
         raise UsageError("--budget requires --algo progress")
+    if args.algo == "progress":
+        for flag, given in (("--race-naive", args.race_naive), ("--dump-aux", args.dump_aux),
+                            (f"--engine {args.engine}", args.engine != "auto")):
+            if given:
+                raise UsageError(f"{flag} requires --algo strategy")
     payload = _solve_one(game, args)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))

@@ -57,10 +57,6 @@ class NodeLabeling:
         return (isinstance(other, NodeLabeling)
                 and self.spec == other.spec and self.values == other.values)
 
-    def validate(self) -> None:
-        for lab in self.values:
-            trees.validate_label(self.spec, lab)
-
     def leq(self, other: "NodeLabeling") -> bool:
         return all(a <= b for a, b in zip(self.values, other.values))
 
@@ -126,27 +122,18 @@ class ProgressResult:
     lifts: int
 
 
-def progress_measure_solve(game, spec: TreeSpec, budget=None, strategy=None,
-                           start=None) -> ProgressResult:
-    """Least simultaneous fixed point of all Lift operators, at least ``start``
-    (default: the all-minimum labeling).
+def progress_measure_solve(game, spec: TreeSpec, budget=None) -> ProgressResult:
+    """Least simultaneous fixed point of all Lift operators above the
+    all-minimum labeling.
 
     FIFO worklist seeded with every node; a strictly increasing application of
-    Lift_v (Even) or Lift_vw (Odd) counts as one lift.  With ``strategy`` the
-    computation runs on the strategy subgraph (a 1-player game for Even).
-    Raises LiftBudgetExceeded carrying the partial labeling when ``budget``
-    lift applications are not enough.
+    Lift_v (Even) or Lift_vw (Odd) counts as one lift.  ``game`` may also be
+    a ``StrategySubgraph``, a 1-player game for Even.  Raises
+    LiftBudgetExceeded carrying the partial labeling when ``budget`` lift
+    applications are not enough.
     """
-    if strategy is None:
-        succ, pred = game.succ, game.pred
-    else:
-        from .game import StrategySubgraph
-
-        sub = game if isinstance(game, StrategySubgraph) else StrategySubgraph(game, strategy)
-        succ, pred, game = sub.succ, sub.pred, sub.game
-    n = game.n
-    labeling = start.copy() if start is not None else NodeLabeling.all_min(spec, n)
-    labeling.validate()
+    succ, pred, n = game.succ, game.pred, game.n
+    labeling = NodeLabeling.all_min(spec, n)
     lifts = 0
     queue = deque(range(n))
     queued = [True] * n

@@ -140,29 +140,29 @@ def _layers(nodes, succ, prio, up_to=0):
     """For each even p from max(top, ``up_to``) down to 2, where top is the
     largest priority rounded up to even: p and the SCCs of the digraph on the
     ``nodes`` of priority <= p (arcs as for ``strongly_connected``), each as
-    (comp, cyclic) in rank order, sinks first.
+    (comp, cyclic, high) in rank order, sinks first, where high is the
+    largest priority in comp.
 
     The first level is one SCC pass over ``nodes``.  Each later one keeps,
-    in place, the components that lose no node and splits each that does by
-    one pass over its remaining nodes (an acyclic one is a single node, so
-    it only stays or goes).  Every cycle and every path of a level is one of
-    the level above, so the order stays topological."""
+    in place, each component with high <= p, drops each single node above
+    p, and splits each other component by one SCC pass over its nodes of
+    priority <= p, so no kept or dropped component is scanned.  Every cycle
+    and every path of a level is one of the level above, so the order stays
+    topological."""
     def sccs(group):
-        return [(c, len(c) > 1 or c[0] in succ[c[0]]) for c in strongly_connected(group, succ)]
+        return [(c, len(c) > 1 or c[0] in succ[c[0]], max([prio[v] for v in c]))
+                for c in strongly_connected(group, succ)]
 
     top = max(prio)
-    top += top % 2
     level = sccs(nodes)
-    for p in range(max(top, up_to), 1, -2):
-        if p < top:
-            split = []
-            for comp, cyclic in level:
-                keep = [v for v in comp if prio[v] <= p]
-                if len(keep) == len(comp):
-                    split.append((comp, cyclic))
-                elif keep:
-                    split.extend(sccs(keep))
-            level = split
+    for p in range(max(top + top % 2, up_to), 1, -2):
+        split = []
+        for comp, cyclic, high in level:
+            if high <= p:
+                split.append((comp, cyclic, high))
+            elif len(comp) > 1:
+                split.extend(sccs([v for v in comp if prio[v] <= p]))
+        level = split
         yield p, level
 
 
@@ -201,8 +201,8 @@ def _base_components(nodes, succ, priorities):
     one list."""
     found = {}
     for p, level in _layers(nodes, succ, priorities):
-        for comp, cyclic in level:
-            if cyclic:
+        for comp, cyclic, high in level:
+            if cyclic and high == p:
                 for v in comp:
                     if priorities[v] == p:
                         found[v] = comp
@@ -523,33 +523,32 @@ def compute_phi(sub, base_nodes, up_to=None):
     phi = {}
     for p, level in _layers(sub.nodes, hsucc, prio, up_to or 0):
         val = [0] * n
-        for rank, (comp, cyclic) in enumerate(level, start=1):
+        for rank, (comp, cyclic, high) in enumerate(level, start=1):
             for v in comp:
                 val[v] = rank
-            if cyclic and any(prio[v] == p for v in comp):
+            if cyclic and high == p:
                 raise InvariantError("H still contains an even cycle")
         phi[p] = val
     return dict(sorted(phi.items()))
 
 
 def _potential(spec, phi, values, v, d):
-    if values[v] is TOP:
-        return (1,)
     leaf = values[v]
-    parts = [0]
+    parts = []
     for t in range(spec.height):
-        p = d - 2 * t
-        parts.append(phi[p][v])
+        parts.append(phi[d - 2 * t][v])
         parts.append(leaf[t])
     return tuple(parts)
 
 
 def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     """Label-setting sweep: fixes the labels of ``base_nodes`` (all base nodes
-    of ``sub``) and of the ``pinned`` nodes of ``sub`` from ``nu``, then
-    admits the node of minimum interlaced potential and drops its incoming
-    arcs.  Returns the pointwise minimal labeling feasible in H that agrees
-    with ``nu`` on the fixed nodes and outside ``sub.nodes``.
+    of ``sub``) and of the ``pinned`` nodes of ``sub`` from ``nu``, starts
+    every other node at TOP, and drops the incoming arcs of each fixed node.
+    A node enters the queue, keyed by its interlaced potential, only when
+    its label drops; the node of minimum potential is admitted and drops its
+    own incoming arcs.  Returns the pointwise minimal labeling feasible in H
+    that agrees with ``nu`` on the fixed nodes and outside ``sub.nodes``.
     Exact only for a tree capacity of at least the number of nodes of the
     game, so a smaller capacity raises ``UsageError``."""
     spec = nu.spec
@@ -557,51 +556,41 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     if spec.capacity < n:
         raise UsageError(f"the label-setting engine requires tree capacity >= n = {n}")
     counters = counters or Counters()
+    prio, pred = sub.priorities, sub.pred
     S = set(base_nodes).union(sub.pinned)
-    free = [v for v in sub.nodes if v not in S]
     values = list(nu.values)
-    for v in free:
-        values[v] = TOP
+    for v in sub.nodes:
+        if v not in S:
+            values[v] = TOP
     d = 2 * spec.height
     phi = compute_phi(sub, base_nodes, up_to=d)
+    heap, current = [], {}
     drops = 0
 
-    def drop_into(v, w):
+    def relax(u):
         nonlocal drops
-        t = tighten_target(spec, values[w], sub.priorities[v])
-        if t < values[v]:
-            values[v] = t
-            drops += 1
-            return True
-        return False
-
-    heap = []
-    current = {}
-
-    def push(v):
-        pot = _potential(spec, phi, values, v, d)
-        current[v] = pot
-        heapq.heappush(heap, (pot, v))
+        head = values[u]
+        for v in pred[u]:
+            if v not in S:
+                t = tighten_target(spec, head, prio[v])
+                if t < values[v]:
+                    values[v] = t
+                    drops += 1
+                    pot = current[v] = _potential(spec, phi, values, v, d)
+                    heapq.heappush(heap, (pot, v))
 
     for w in sorted(S):
-        for v in sub.pred[w]:
-            if v not in S:
-                drop_into(v, w)
-    for v in free:
-        push(v)
-
+        relax(w)
     last_pot = None
     while heap:
         pot, u = heapq.heappop(heap)
-        if u in S or current.get(u) != pot:
+        if u in S or current[u] != pot:
             continue
         if last_pot is not None and pot < last_pot:
             raise InvariantError("dijkstra admitted a decreasing potential")
         last_pot = pot
         S.add(u)
-        for v in sub.pred[u]:
-            if v not in S and drop_into(v, u):
-                push(v)
+        relax(u)
     counters.drops += drops
     return NodeLabeling(spec, values)
 

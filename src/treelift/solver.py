@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import one_player, trees
 from .errors import InvariantError, UsageError
-from .game import EVEN, ODD, ParityGame, Region, StrategySubgraph, default_strategy
+from .game import ODD, ParityGame, Region, StrategySubgraph, default_strategy
 from .labeling import ArcStatus, NodeLabeling, arc_status, lift_arc
 from .trees import TOP, TreeSpec, tighten_target
 
@@ -88,20 +88,23 @@ def _check_phase(game: ParityGame, tau: dict, labeling: NodeLabeling):
     Raises ``InvariantError`` unless the labeling is feasible and has no
     loose arc in the strategy subgraph of ``tau``: every strategy arc tight,
     every Even arc tight or violated and at least one tight per Even node.
-    Returns the admissible arcs, the same list as ``admissible_arcs``."""
+    Returns (admissible, sigma): the admissible arcs, the same list as
+    ``admissible_arcs``, and the tight out-arc of lowest head of each Even
+    node below TOP, Even's strategy when no arc is admissible."""
     spec, values, prio, owners = labeling.spec, labeling.values, game.priorities, game.owners
-    adm = []
+    adm, sigma = [], {}
     for v, outs in enumerate(game.succ):
         p, lab = prio[v], values[v]
         odd = owners[v] == ODD
         chosen = tau[v] if odd else None
-        tight = False
+        tight = None  # the first tight head; successors are sorted
         for w in outs:
             # arc_status's comparisons, inlined: this runs on every arc of
             # every phase, and the call and enum cost about a tenth of a solve
             target = tighten_target(spec, values[w], p)
             if lab is target or lab == target:
-                tight = True
+                if tight is None:
+                    tight = w
             elif lab < target:
                 if w == chosen:
                     raise InvariantError(f"phase labeling violates strategy arc {v}->{w}")
@@ -109,19 +112,12 @@ def _check_phase(game: ParityGame, tau: dict, labeling: NodeLabeling):
                     adm.append((v, w))
             elif not odd or w == chosen:
                 raise InvariantError(f"phase labeling has a loose arc {v}->{w}")
-        if not (odd or tight):
-            raise InvariantError(f"phase labeling leaves even node {v} without a tight arc")
-    return adm
-
-
-def pivot(game: ParityGame, tau: dict, labeling: NodeLabeling, rule):
-    adm = admissible_arcs(game, labeling)
-    if not adm:
-        raise UsageError("pivot called without admissible arcs")
-    switches = rule.select(game, labeling, adm)
-    new = dict(tau)
-    new.update(switches)
-    return new
+        if not odd:
+            if tight is None:
+                raise InvariantError(f"phase labeling leaves even node {v} without a tight arc")
+            if lab is not TOP:
+                sigma[v] = tight
+    return adm, sigma
 
 
 @dataclass
@@ -155,21 +151,6 @@ class SolveResult:
             "wall_ms": self.wall_ms,
             "warnings": list(self.warnings),
         }
-
-
-def extract_even_strategy(game: ParityGame, labeling: NodeLabeling) -> dict:
-    """Tight out-arc (lowest head id) per Even node in the non-top region."""
-    sigma = {}
-    for v in range(game.n):
-        if game.owners[v] != EVEN or labeling[v] is TOP:
-            continue
-        for w in game.succ[v]:
-            if arc_status(game, labeling, v, w) == ArcStatus.TIGHT:
-                sigma[v] = w
-                break
-        else:
-            raise InvariantError(f"even node {v} in the winning set has no tight arc")
-    return sigma
 
 
 def _engine_for(spec: TreeSpec, engine: str, n: int):
@@ -229,7 +210,7 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         phases += 1
         if not mu.leq(new):
             raise InvariantError("labeling decreased across a phase")
-        adm = _check_phase(game, tau, new)
+        adm, sigma = _check_phase(game, tau, new)
         old, cur = mu.values, new.values
         lifts += sum(1 for v in solved if cur[v] > old[v])
         mu = new
@@ -248,7 +229,6 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
 
     even_wins = tuple(v for v in range(game.n) if mu[v] is not TOP)
     odd_wins = tuple(v for v in range(game.n) if mu[v] is TOP)
-    sigma = extract_even_strategy(game, mu)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(
         labeling=mu,

@@ -463,6 +463,30 @@ def test_dijkstra_worked(worked, p32):
         dijkstra(sub, small, base)
 
 
+def test_dijkstra_queues_only_dropped_labels(monkeypatch):
+    # a node enters Dijkstra's queue only when its label drops, so no
+    # potential is ever built for a TOP label
+    real = one_player._potential
+    built = []
+
+    def finite_only(spec, phi, values, v, d):
+        assert values[v] is not TOP
+        built.append(v)
+        return real(spec, phi, values, v, d)
+
+    monkeypatch.setattr(one_player, "_potential", finite_only)
+    rng = random.Random(515)
+    tops = 0
+    for i in range(60):
+        g = gen_random(rng.randint(2, 30), rng.randint(1, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        spec = TreeSpec.perfect(g.n, max(g.d // 2, 1))
+        rule = (SwitchAll(), SwitchFirst(), SwitchRandom(i))[i % 3]
+        res = strategy_iteration_solve(g, spec, rule=rule, record_phases=False)
+        tops += len(res.odd_wins)
+    assert built and tops > 100
+
+
 def test_lfp_perfect_worked(worked, p32):
     p52 = TreeSpec.perfect(5, 2)
     sub = worked_sub(worked)

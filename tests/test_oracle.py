@@ -54,9 +54,8 @@ def test_naive_lfp_worked_example(worked, p32):
 def test_naive_lfp_order_insensitive(worked, p32):
     # round-robin (oracle) vs FIFO worklist (baseline) reach the same point
     sub = StrategySubgraph(worked, WORKED_TAU)
-    start = NodeLabeling.all_min(p32, worked.n)
-    a = naive_lfp(sub, start, p32)
-    b = progress_measure_solve(worked, p32, strategy=WORKED_TAU, start=start)
+    a = naive_lfp(sub, NodeLabeling.all_min(p32, worked.n), p32)
+    b = progress_measure_solve(sub, p32)
     assert a == b.labeling
 
 

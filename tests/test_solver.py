@@ -9,14 +9,13 @@ import pytest
 from treelift import one_player, trees
 from treelift.errors import InvariantError, UsageError
 from treelift.game import gen_random, parse_pgsolver
-from treelift.labeling import NodeLabeling, progress_measure_solve
+from treelift.labeling import NodeLabeling, is_feasible, progress_measure_solve
 from treelift.oracle import NaiveRace, zielonka_solve
 from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom,
-                             admissible_arcs, extract_even_strategy, pivot,
-                             strategy_iteration_solve)
+                             admissible_arcs, strategy_iteration_solve)
 from treelift.trees import TOP, TreeSpec, leaf_from_components as LF
 
-from .conftest import WORKED_TAU
+from .conftest import WORKED_TAU, WORKED_TEXT
 from .test_labeling import worked_final, worked_middle
 
 A, B, C, D, E = range(5)
@@ -34,14 +33,15 @@ def test_admissible_arcs(worked, p32):
 
 def test_pivot_rules(worked, p32):
     mid = worked_middle(p32)
-    tau2 = pivot(worked, dict(WORKED_TAU), mid, SwitchAll())
-    assert tau2 == {A: B, E: C}
-    assert pivot(worked, dict(WORKED_TAU), mid, SwitchFirst()) == {A: B, E: C}
-    r1 = pivot(worked, dict(WORKED_TAU), mid, SwitchRandom(4))
-    r2 = pivot(worked, dict(WORKED_TAU), mid, SwitchRandom(4))
-    assert r1 == r2
-    with pytest.raises(UsageError):
-        pivot(worked, dict(WORKED_TAU), worked_final(p32), SwitchAll())
+    adm = admissible_arcs(worked, mid)
+    assert SwitchAll().select(worked, mid, adm) == {A: B}
+    assert SwitchFirst().select(worked, mid, adm) == {A: B}
+    r1 = SwitchRandom(4).select(worked, mid, adm)
+    r2 = SwitchRandom(4).select(worked, mid, adm)
+    assert r1 == r2 and set(r1.items()) <= set(adm)
+    # the fixed point has no admissible arc, so nothing is switched
+    final = worked_final(p32)
+    assert SwitchAll().select(worked, final, admissible_arcs(worked, final)) == {}
 
 
 def test_worked_phases_perfect(worked, p32):
@@ -79,16 +79,44 @@ def test_no_odd_nodes_single_phase():
 
 
 def test_extract_even_strategy(worked, p32):
-    sigma = extract_even_strategy(worked, worked_final(p32))
-    assert sigma == {C: D, D: E}
+    # Even's strategy is the last phase check's tight arc of lowest head
+    res = strategy_iteration_solve(worked, p32, tau1=WORKED_TAU)
+    assert res.labeling == worked_final(p32)
+    assert res.even_strategy == {C: D, D: E}
 
     loop = parse_pgsolver("0 2 0 0;")
-    spec = TreeSpec.perfect(1, 1)
-    lab = NodeLabeling.all_min(spec, 1)
-    assert extract_even_strategy(loop, lab) == {0: 0}
+    res = strategy_iteration_solve(loop, TreeSpec.perfect(1, 1))
+    assert res.even_strategy == {0: 0}
 
-    all_top = NodeLabeling.all_top(p32, worked.n)
-    assert extract_even_strategy(worked, all_top) == {}
+    odd_loop = parse_pgsolver("0 1 0 0;")
+    res = strategy_iteration_solve(odd_loop, TreeSpec.perfect(1, 1))
+    assert res.labeling[0] is TOP and res.even_strategy == {}
+
+
+def test_even_strategy_is_feasibility_witness():
+    # on random games, every tree, engine, pivot rule and capacity: the
+    # returned strategy is the witness of the final labeling's feasibility
+    # at the Even nodes below TOP
+    rng = random.Random(77)
+    solves = 0
+    for i in range(25):
+        g = gen_random(rng.randint(2, 20), rng.randint(1, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        h = max(g.d // 2, 1)
+        for cap in (g.n, max(2, g.n // 3)):
+            strahler = TreeSpec.strahler(max(1, min(h, cap.bit_length() - 1)), cap, h)
+            for spec, engine in ((TreeSpec.perfect(cap, h), "auto"),
+                                 (TreeSpec.perfect(cap, h), "lc"),
+                                 (TreeSpec.succinct(cap, h), "auto"), (strahler, "auto")):
+                for rule in (SwitchAll(), SwitchFirst(), SwitchRandom(i)):
+                    res = strategy_iteration_solve(g, spec, rule=rule, engine=engine,
+                                                   record_phases=False)
+                    ok, sigma = is_feasible(g, res.labeling, witness=True)
+                    assert ok
+                    assert res.even_strategy == {
+                        v: w for v, w in sigma.items() if res.labeling[v] is not TOP}
+                    solves += 1
+    assert solves == 25 * 2 * 4 * 3
 
 
 def test_phase_monotonicity_and_rule_independence():
@@ -403,6 +431,36 @@ def test_phase_check_rejects_faulty_engine_output(labels, message):
         _solve_with_faulty_engine(labels)
 
 
+def _solve_with_decreasing_engine():
+    # the worked example takes two phases under WORKED_TAU; on the second the
+    # engine lowers C, which keeps the label (1,0) in both, to the minimum leaf
+    game = parse_pgsolver(WORKED_TEXT)
+    spec = TreeSpec.perfect(3, 2)
+    real = one_player.least_fixed_point_lc
+    calls = []
+
+    def fault(sub, mu, spec, counters=None):
+        out = real(sub, mu, spec, counters)
+        calls.append(sub)
+        if len(calls) == 2:
+            out = out.copy()
+            out[C] = trees.min_leaf(spec)
+        return out
+
+    one_player.least_fixed_point_lc = fault
+    try:
+        strategy_iteration_solve(game, spec, tau1=WORKED_TAU)
+    finally:
+        one_player.least_fixed_point_lc = real
+
+
+def test_solver_rejects_decreasing_phase():
+    assert strategy_iteration_solve(parse_pgsolver(WORKED_TEXT), TreeSpec.perfect(3, 2),
+                                    tau1=WORKED_TAU).phases == 2
+    with pytest.raises(InvariantError, match="labeling decreased across a phase"):
+        _solve_with_decreasing_engine()
+
+
 _OPTIMIZED_PHASE_CHECK = """
 import sys
 from tests import test_solver
@@ -418,13 +476,20 @@ for labels, message in test_solver._FAULTS:
             sys.exit(4)
     else:
         sys.exit(1)
+try:
+    test_solver._solve_with_decreasing_engine()
+except InvariantError as exc:
+    if "labeling decreased across a phase" not in str(exc):
+        sys.exit(4)
+else:
+    sys.exit(1)
 sys.exit(0)
 """
 
 
 def test_phase_check_survives_python_O():
-    # the per-phase arc pass raises InvariantError even when the interpreter
-    # strips asserts and __debug__ blocks
+    # the per-phase arc pass and the monotonicity check raise InvariantError
+    # even when the interpreter strips asserts and __debug__ blocks
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(trees.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))

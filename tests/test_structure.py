@@ -1,6 +1,6 @@
 """The SCC answers of the 1-player engines against networkx: Tarjan's
-components, the base nodes' components ``k_comp``, the ranks ``phi`` and
-the regions a phase re-solves."""
+components, the layered split by priority, the base nodes' components
+``k_comp``, the ranks ``phi`` and the regions a phase re-solves."""
 
 import random
 from types import SimpleNamespace
@@ -10,8 +10,8 @@ import pytest
 
 from treelift.errors import InvariantError
 from treelift.game import Region, StrategySubgraph, gen_random
-from treelift.one_player import (build_auxiliary_digraph, compute_phi, find_base_nodes,
-                                 strongly_connected)
+from treelift.one_player import (_layers, build_auxiliary_digraph, compute_phi,
+                                 find_base_nodes, strongly_connected)
 
 SEED = 90210
 
@@ -91,6 +91,36 @@ def test_strongly_connected_matches_networkx():
         position = {v: i for i, comp in enumerate(comps) for v in comp}
         for v, w in dig.edges:
             assert position[w] <= position[v]
+
+
+def test_layers_match_networkx():
+    # every level of the layered split is the SCCs of the nodes of priority
+    # <= p, each with its cyclic flag and highest priority, sinks first
+    rng = random.Random(SEED + 4)
+    levels = 0
+    for sub in _graphs(2000):
+        prio = sub.priorities
+        nodes = sorted(v for v in range(sub.n) if rng.random() < 0.9)
+        if not nodes:
+            continue
+        top = max(prio)
+        top += top % 2
+        up_to = rng.choice([0, top + 2])
+        got = list(_layers(nodes, sub.succ, prio, up_to))
+        assert [p for p, _ in got] == list(range(max(top, up_to), 1, -2))
+        for p, level in got:
+            dig = _digraph({v for v in nodes if prio[v] <= p}, sub.succ)
+            assert sorted(sorted(comp) for comp, _, _ in level) == sorted(
+                map(sorted, nx.strongly_connected_components(dig)))
+            position = {}
+            for rank, (comp, cyclic, high) in enumerate(level):
+                assert cyclic == _is_cyclic(dig, comp)
+                assert high == max(prio[v] for v in comp)
+                position.update(dict.fromkeys(comp, rank))
+            for v, w in dig.edges:
+                assert position[w] <= position[v]
+            levels += 1
+    assert levels > 4000
 
 
 def test_k_comp_is_scc_below_priority():
