@@ -20,7 +20,8 @@ from .one_player import (AuxiliaryDigraph, BaseNodeReport, Counters, bellman_for
 from .oracle import (NaiveRace, WinnerPartition, brute_raise, embed_check, naive_lfp,
                      zielonka_solve)
 from .solver import (SolveResult, SwitchAll, SwitchFirst, SwitchRandom,
-                     admissible_arcs, strategy_iteration_solve)
+                     admissible_arcs, extract_even_strategy, pivot,
+                     strategy_iteration_solve)
 from .trees import (PERFECT, STRAHLER, SUCCINCT, TOP, TreeSpec, chain_info,
                     format_label, leaf_cmp, leaf_count, leaf_from_components,
                     min_leaf, min_leaf_below, raise_leaf, strip_zeros,

@@ -161,7 +161,9 @@ def _layers(nodes, succ, prio, up_to=0):
             if high <= p:
                 split.append((comp, cyclic, high))
             elif len(comp) > 1:
-                split.extend(sccs([v for v in comp if prio[v] <= p]))
+                keep = [v for v in comp if prio[v] <= p]
+                if keep:
+                    split.extend(sccs(keep))
         level = split
         yield p, level
 

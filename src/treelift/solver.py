@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import one_player, trees
 from .errors import InvariantError, UsageError
-from .game import ODD, ParityGame, Region, StrategySubgraph, default_strategy
+from .game import EVEN, ODD, ParityGame, Region, StrategySubgraph, default_strategy
 from .labeling import ArcStatus, NodeLabeling, arc_status, lift_arc
 from .trees import TOP, TreeSpec, tighten_target
 
@@ -120,6 +120,16 @@ def _check_phase(game: ParityGame, tau: dict, labeling: NodeLabeling):
     return adm, sigma
 
 
+def pivot(game: ParityGame, tau: dict, labeling: NodeLabeling, rule):
+    adm = admissible_arcs(game, labeling)
+    if not adm:
+        raise UsageError("pivot called without admissible arcs")
+    switches = rule.select(game, labeling, adm)
+    new = dict(tau)
+    new.update(switches)
+    return new
+
+
 @dataclass
 class SolveResult:
     labeling: NodeLabeling
@@ -151,6 +161,21 @@ class SolveResult:
             "wall_ms": self.wall_ms,
             "warnings": list(self.warnings),
         }
+
+
+def extract_even_strategy(game: ParityGame, labeling: NodeLabeling) -> dict:
+    """Tight out-arc (lowest head id) per Even node in the non-top region."""
+    sigma = {}
+    for v in range(game.n):
+        if game.owners[v] != EVEN or labeling[v] is TOP:
+            continue
+        for w in game.succ[v]:
+            if arc_status(game, labeling, v, w) == ArcStatus.TIGHT:
+                sigma[v] = w
+                break
+        else:
+            raise InvariantError(f"even node {v} in the winning set has no tight arc")
+    return sigma
 
 
 def _engine_for(spec: TreeSpec, engine: str, n: int):

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -12,7 +13,8 @@ from treelift.game import gen_random, parse_pgsolver
 from treelift.labeling import NodeLabeling, is_feasible, progress_measure_solve
 from treelift.oracle import NaiveRace, zielonka_solve
 from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom,
-                             admissible_arcs, strategy_iteration_solve)
+                             admissible_arcs, extract_even_strategy, pivot,
+                             strategy_iteration_solve)
 from treelift.trees import TOP, TreeSpec, leaf_from_components as LF
 
 from .conftest import WORKED_TAU, WORKED_TEXT
@@ -42,6 +44,11 @@ def test_pivot_rules(worked, p32):
     # the fixed point has no admissible arc, so nothing is switched
     final = worked_final(p32)
     assert SwitchAll().select(worked, final, admissible_arcs(worked, final)) == {}
+    # pivot is tau updated with the rule's switches on those arcs
+    assert pivot(worked, dict(WORKED_TAU), mid, SwitchAll()) == {A: B, E: C}
+    assert pivot(worked, dict(WORKED_TAU), mid, SwitchFirst()) == {A: B, E: C}
+    with pytest.raises(UsageError):
+        pivot(worked, dict(WORKED_TAU), final, SwitchAll())
 
 
 def test_worked_phases_perfect(worked, p32):
@@ -83,6 +90,8 @@ def test_extract_even_strategy(worked, p32):
     res = strategy_iteration_solve(worked, p32, tau1=WORKED_TAU)
     assert res.labeling == worked_final(p32)
     assert res.even_strategy == {C: D, D: E}
+    assert extract_even_strategy(worked, res.labeling) == {C: D, D: E}
+    assert extract_even_strategy(worked, NodeLabeling.all_top(p32, worked.n)) == {}
 
     loop = parse_pgsolver("0 2 0 0;")
     res = strategy_iteration_solve(loop, TreeSpec.perfect(1, 1))
@@ -115,6 +124,7 @@ def test_even_strategy_is_feasibility_witness():
                     assert ok
                     assert res.even_strategy == {
                         v: w for v, w in sigma.items() if res.labeling[v] is not TOP}
+                    assert res.even_strategy == extract_even_strategy(g, res.labeling)
                     solves += 1
     assert solves == 25 * 2 * 4 * 3
 
@@ -496,3 +506,19 @@ def test_phase_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PHASE_CHECK],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_has_no_asserts():
+    # python -O would strip an assert or a __debug__ block, so no invariant
+    # check of the package may be written as one; then an optimized run
+    # checks exactly what a plain run does
+    pkg = os.path.dirname(trees.__file__)
+    names = sorted(name for name in os.listdir(pkg) if name.endswith(".py"))
+    found = []
+    for name in names:
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read())
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or (isinstance(node, ast.Name) and node.id == "__debug__")]
+    assert len(names) > 5 and found == []
