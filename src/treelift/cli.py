@@ -143,7 +143,9 @@ def cmd_solve(args) -> int:
         raise UsageError("--budget requires --algo progress")
     if args.algo == "progress":
         for flag, given in (("--race-naive", args.race_naive), ("--dump-aux", args.dump_aux),
-                            (f"--engine {args.engine}", args.engine != "auto")):
+                            (f"--engine {args.engine}", args.engine != "auto"),
+                            (f"--pivot {args.pivot}", args.pivot != "all"),
+                            (f"--seed {args.seed}", args.seed != 0)):
             if given:
                 raise UsageError(f"{flag} requires --algo strategy")
     payload = _solve_one(game, args)

@@ -82,42 +82,78 @@ def admissible_arcs(game: ParityGame, labeling: NodeLabeling):
     return out
 
 
-def _check_phase(game: ParityGame, tau: dict, labeling: NodeLabeling):
-    """Classify every arc of the game once against a phase's labeling.
+class _PhaseCheck:
+    """The solver's per-phase check, which keeps its state across phases.
 
-    Raises ``InvariantError`` unless the labeling is feasible and has no
-    loose arc in the strategy subgraph of ``tau``: every strategy arc tight,
-    every Even arc tight or violated and at least one tight per Even node.
-    Returns (admissible, sigma): the admissible arcs, the same list as
-    ``admissible_arcs``, and the tight out-arc of lowest head of each Even
-    node below TOP, Even's strategy when no arc is admissible."""
-    spec, values, prio, owners = labeling.spec, labeling.values, game.priorities, game.owners
-    adm, sigma = [], {}
-    for v, outs in enumerate(game.succ):
-        p, lab = prio[v], values[v]
-        odd = owners[v] == ODD
-        chosen = tau[v] if odd else None
-        tight = None  # the first tight head; successors are sorted
-        for w in outs:
-            # arc_status's comparisons, inlined: this runs on every arc of
-            # every phase, and the call and enum cost about a tenth of a solve
-            target = tighten_target(spec, values[w], p)
-            if lab is target or lab == target:
-                if tight is None:
-                    tight = w
-            elif lab < target:
-                if w == chosen:
-                    raise InvariantError(f"phase labeling violates strategy arc {v}->{w}")
-                if odd:
-                    adm.append((v, w))
-            elif not odd or w == chosen:
-                raise InvariantError(f"phase labeling has a loose arc {v}->{w}")
-        if not odd:
-            if tight is None:
+    A call raises ``InvariantError`` if a phase's labeling lies below the
+    previous one, or if it is infeasible or has a loose arc in the strategy
+    subgraph of ``tau``. Every strategy arc must be tight. Every Even arc must
+    be tight or violated, with at least one tight arc per Even node.
+
+    ``heads[v]`` is the per-tail result: the violated heads of an Odd tail,
+    which are its admissible arcs, or the first tight head of an Even tail.
+    An arc's status depends only on the two labels, the tail's priority and
+    whether the arc is the tail's strategy arc. So a call re-classifies only
+    the dirty tails: the switched tails, the nodes whose label changed and
+    their game predecessors. Every other tail passed last phase with the same
+    inputs, so re-classifying the dirty tails in increasing order raises the
+    error a full scan would. On the first phase every tail is dirty."""
+
+    def __init__(self, game: ParityGame):
+        self.game = game
+        self.heads = [()] * game.n
+        self.dirty = set(range(game.n))
+
+    def __call__(self, tau: dict, old: NodeLabeling, new: NodeLabeling, switched) -> list:
+        """Check the phase from ``old`` to ``new`` after the pivot that
+        switched the tails ``switched``; return the nodes whose label
+        changed, in increasing order."""
+        game, dirty, heads, values = self.game, self.dirty, self.heads, new.values
+        dirty.update(switched)
+        # whole-game on purpose: a label the engine moved outside its region
+        # still makes its node and the node's predecessors dirty
+        changed = []
+        for v, (a, b) in enumerate(zip(old.values, values)):
+            if a is not b and a != b:
+                if not a < b:
+                    raise InvariantError("labeling decreased across a phase")
+                changed.append(v)
+                dirty.add(v)
+                dirty.update(game.pred[v])
+        spec, prio, owners, succ = new.spec, game.priorities, game.owners, game.succ
+        for v in sorted(dirty):
+            p, lab = prio[v], values[v]
+            odd = owners[v] == ODD
+            chosen = tau[v] if odd else None
+            adm, tight = [], None  # successors are sorted
+            for w in succ[v]:
+                # arc_status's comparisons, inlined
+                target = tighten_target(spec, values[w], p)
+                if lab is target or lab == target:
+                    if tight is None:
+                        tight = w
+                elif lab < target:
+                    if w == chosen:
+                        raise InvariantError(f"phase labeling violates strategy arc {v}->{w}")
+                    adm.append(w)
+                elif not odd or w == chosen:
+                    raise InvariantError(f"phase labeling has a loose arc {v}->{w}")
+            if not odd and tight is None:
                 raise InvariantError(f"phase labeling leaves even node {v} without a tight arc")
-            if lab is not TOP:
-                sigma[v] = tight
-    return adm, sigma
+            heads[v] = adm if odd else tight
+        dirty.clear()
+        return changed
+
+    def admissible(self) -> list:
+        """The admissible arcs, the same list as ``admissible_arcs``."""
+        return [(v, w) for v in self.game.odd_nodes() for w in self.heads[v]]
+
+    def even_strategy(self, labeling: NodeLabeling) -> dict:
+        """The tight out-arc of lowest head of each Even node below TOP,
+        Even's strategy once no arc is admissible."""
+        heads, values = self.heads, labeling.values
+        return {v: heads[v] for v in range(self.game.n)
+                if self.game.owners[v] == EVEN and values[v] is not TOP}
 
 
 def pivot(game: ParityGame, tau: dict, labeling: NodeLabeling, rule):
@@ -230,17 +266,17 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
     sub = StrategySubgraph(game, tau)
     new = lfp(sub, mu, spec, counters)
     solved = range(game.n)
+    check = _PhaseCheck(game)
+    switches = {}
     while True:
         counters.phase(sub, mu, new)
         phases += 1
-        if not mu.leq(new):
-            raise InvariantError("labeling decreased across a phase")
-        adm, sigma = _check_phase(game, tau, new)
-        old, cur = mu.values, new.values
-        lifts += sum(1 for v in solved if cur[v] > old[v])
+        changed = check(tau, mu, new, switches)
+        lifts += sum(1 for v in changed if v in solved)
         mu = new
         if record_phases:
             phase_labels.append(mu)
+        adm = check.admissible()
         if not adm:
             break
         if phases > phase_cap:
@@ -260,7 +296,7 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         strategy_odd=tau,
         even_wins=even_wins,
         odd_wins=odd_wins,
-        even_strategy=sigma,
+        even_strategy=check.even_strategy(mu),
         phases=phases,
         lifts=lifts,
         drops=counters.drops - drops0,

@@ -95,15 +95,18 @@ def test_budget_needs_progress_algo(worked_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--race-naive"], ["--dump-aux"], ["--engine", "lc"],
-                                   ["--engine", "perfect"], ["--engine", "dijkstra"]])
+                                   ["--engine", "perfect"], ["--engine", "dijkstra"],
+                                   ["--pivot", "random"], ["--seed", "5"]])
 def test_strategy_flags_reject_progress_algo(worked_path, flags, capsys):
-    # the progress measure has no phases to race, no auxiliary digraph and no
-    # engine, so these flags would be ignored
+    # the progress measure has no phases to race, no auxiliary digraph, no
+    # engine and no pivots, so these flags would be ignored
     assert main(["solve", worked_path, "--algo", "progress", *flags]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and flags[0] in err
+    assert "requires --algo strategy" in err
     assert main(["solve", worked_path, *flags]) == 0
-    assert main(["solve", worked_path, "--algo", "progress", "--engine", "auto"]) == 0
+    for default in (["--engine", "auto"], ["--pivot", "all"], ["--seed", "0"]):
+        assert main(["solve", worked_path, "--algo", "progress", *default]) == 0
 
 
 def test_solve_tree_object_same_for_both_algos(worked_path):

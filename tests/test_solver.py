@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from treelift import one_player, trees
+from treelift import one_player, solver, trees
 from treelift.errors import InvariantError, UsageError
 from treelift.game import gen_random, parse_pgsolver
 from treelift.labeling import NodeLabeling, is_feasible, progress_measure_solve
@@ -259,6 +259,22 @@ def test_region_phases_equal_whole_graph(monkeypatch):
 
     for name in real:
         monkeypatch.setattr(one_player, name, counting(name))
+    # and every phase's incremental check equals a fresh one that classifies
+    # every tail
+    incremental = solver._PhaseCheck.__call__
+    checked = []
+
+    def check_both(check, tau, old, new, switched):
+        changed = incremental(check, tau, old, new, switched)
+        full = solver._PhaseCheck(check.game)
+        assert incremental(full, tau, old, new, ()) == changed and full.heads == check.heads
+        adm = check.admissible()
+        assert adm == full.admissible() == admissible_arcs(check.game, new)
+        assert check.even_strategy(new) == full.even_strategy(new)
+        checked.append(len(adm))
+        return changed
+
+    monkeypatch.setattr(solver._PhaseCheck, "__call__", check_both)
     rng = random.Random(4242)
     phases = 0
     for i in range(30):
@@ -279,6 +295,7 @@ def test_region_phases_equal_whole_graph(monkeypatch):
                                                    record_phases=False)
                     phases += res.phases
     assert phases > 1500 and len(regions) > 300
+    assert len(checked) == phases and sum(checked) > 1000
 
 
 class _Recording(one_player.Counters):
@@ -441,10 +458,33 @@ def test_phase_check_rejects_faulty_engine_output(labels, message):
         _solve_with_faulty_engine(labels)
 
 
-def _solve_with_decreasing_engine():
-    # the worked example takes two phases under WORKED_TAU; on the second the
-    # engine lowers C, which keeps the label (1,0) in both, to the minimum leaf
-    game = parse_pgsolver(WORKED_TEXT)
+# The worked example with two nodes that no node of it reaches: Even F with
+# a self-loop at priority 2, tight at every label (x, 0), and Odd G -> F.
+# Under WORKED_TAU plus G's only arc it takes the worked example's two phases,
+# and the second phase's region is A..E, without F and G.
+F, G = 5, 6
+_LATER_FAULT_GAME = (WORKED_TEXT.replace("parity 4;", "parity 6;")
+                     + '5 2 0 5 "F";\n6 1 1 5 "G";\n')
+_LATER_FAULT_TAU = {**WORKED_TAU, G: F}
+
+# (labels the engine sets on the second phase, the fault the check must
+# report); each fault lies at a tail whose own label did not change
+_LATER_FAULTS = (
+    # G, outside the region, rises above its strategy arc's tight value
+    ({G: (0, 2)}, "loose arc 6->5"),
+    # F rises with its self-loop still tight, and G kept its label
+    ({F: (1, 0)}, "violates strategy arc 6->5"),
+    # D's only arc is to E
+    ({E: TOP}, "even node 3 without a tight arc"),
+    # the engine returns its input, so only the switch of A makes A dirty
+    ({A: (0, 1), B: (0, 2)}, "violates strategy arc 0->1"),
+)
+
+
+def _solve_with_later_fault(labels):
+    # the engine's own result on the first phase; on the second, that result
+    # with ``labels`` set
+    game = parse_pgsolver(_LATER_FAULT_GAME)
     spec = TreeSpec.perfect(3, 2)
     real = one_player.least_fixed_point_lc
     calls = []
@@ -454,14 +494,37 @@ def _solve_with_decreasing_engine():
         calls.append(sub)
         if len(calls) == 2:
             out = out.copy()
-            out[C] = trees.min_leaf(spec)
+            for v, label in labels.items():
+                out[v] = label
         return out
 
     one_player.least_fixed_point_lc = fault
     try:
-        strategy_iteration_solve(game, spec, tau1=WORKED_TAU)
+        strategy_iteration_solve(game, spec, tau1=_LATER_FAULT_TAU)
     finally:
         one_player.least_fixed_point_lc = real
+
+
+def _solve_with_decreasing_engine():
+    # the worked example takes two phases under WORKED_TAU; on the second the
+    # engine lowers C, which keeps the label (1,0) in both, to the minimum leaf
+    _solve_with_later_fault({C: (0, 0)})
+
+
+def test_later_fault_game_phases():
+    spec = TreeSpec.perfect(3, 2)
+    res = strategy_iteration_solve(parse_pgsolver(_LATER_FAULT_GAME), spec,
+                                   tau1=_LATER_FAULT_TAU)
+    worked = strategy_iteration_solve(parse_pgsolver(WORKED_TEXT), spec, tau1=WORKED_TAU)
+    assert res.phases == worked.phases == 2
+    assert [lab.values for lab in res.phase_labels[1:]] == \
+        [lab.values + [(0, 0), (0, 1)] for lab in worked.phase_labels[1:]]
+
+
+@pytest.mark.parametrize("labels,message", _LATER_FAULTS)
+def test_phase_check_rejects_later_faulty_phase(labels, message):
+    with pytest.raises(InvariantError, match=message):
+        _solve_with_later_fault(labels)
 
 
 def test_solver_rejects_decreasing_phase():
@@ -478,14 +541,16 @@ from treelift.errors import InvariantError
 
 if __debug__:
     sys.exit(3)
-for labels, message in test_solver._FAULTS:
-    try:
-        test_solver._solve_with_faulty_engine(labels)
-    except InvariantError as exc:
-        if message not in str(exc):
-            sys.exit(4)
-    else:
-        sys.exit(1)
+for solve, faults in ((test_solver._solve_with_faulty_engine, test_solver._FAULTS),
+                      (test_solver._solve_with_later_fault, test_solver._LATER_FAULTS)):
+    for labels, message in faults:
+        try:
+            solve(labels)
+        except InvariantError as exc:
+            if message not in str(exc):
+                sys.exit(4)
+        else:
+            sys.exit(1)
 try:
     test_solver._solve_with_decreasing_engine()
 except InvariantError as exc:
