@@ -20,7 +20,10 @@ Both start from one layered SCC split by priority, ``_layers``: for each
 even p from the top down, the SCCs among the nodes of priority <= p.  Its
 cyclic components give the base nodes, and its levels over the graph
 without the base nodes' out-arcs give the topological index phi of the
-label-setting engine's potentials.
+label-setting engine's potentials.  Tarjan's DFS (``strongly_connected``)
+reports each component's cyclicity as it pops it, and an acyclic
+component is a single node whose top priority is its own priority, so
+the split rescans only cyclic components, for their top priority.
 
 Both also run on a ``game.Region`` of a strategy subgraph, in the game's
 node ids: they work on its ``nodes``, keep the input labels of its
@@ -89,14 +92,16 @@ def strongly_connected(nodes, succ):
     ``nodes``: heads outside it are skipped, so callers pass the full
     successor lists (a list, or a dict with a key per node).  Components are
     emitted in reverse topological order of the condensation (sinks first),
-    each in the order the stack pops it."""
+    each as (comp, cyclic): its nodes in the order the stack pops them, and
+    whether it holds a cycle, i.e. has two or more nodes or a self-loop,
+    which the DFS sees as an arc scan meeting ``w == v``."""
     size = max(len(succ), max(nodes, default=-1) + 1)
     done = size + 1         # index of a non-member or of a node already in a component
     index = [done] * size   # DFS number from 1; 0 = unvisited member
     for v in nodes:
         index[v] = 0
     low = [0] * size
-    stack, comps = [], []
+    stack, comps, loops = [], [], set()
     counter = 0
     for root in nodes:
         if index[root]:
@@ -117,6 +122,8 @@ def strongly_connected(nodes, succ):
                     break
                 if iw < low[v]:  # on the stack: the others read `done`
                     low[v] = iw
+                elif w == v:
+                    loops.add(v)
             else:
                 work.pop()
                 lv = low[v]
@@ -125,14 +132,17 @@ def strongly_connected(nodes, succ):
                     if lv < low[u]:
                         low[u] = lv
                 if lv == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        index[w] = done
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
+                    w = stack.pop()
+                    index[w] = done
+                    if w == v:
+                        comps.append(([v], v in loops))
+                    else:
+                        comp = [w]
+                        while w != v:
+                            w = stack.pop()
+                            index[w] = done
+                            comp.append(w)
+                        comps.append((comp, True))
     return comps
 
 
@@ -148,10 +158,11 @@ def _layers(nodes, succ, prio, up_to=0):
     p, and splits each other component by one SCC pass over its nodes of
     priority <= p, so no kept or dropped component is scanned.  Every cycle
     and every path of a level is one of the level above, so the order stays
-    topological."""
+    topological.  An acyclic component is a single node, whose top priority
+    is its own; only cyclic components are scanned for theirs."""
     def sccs(group):
-        return [(c, len(c) > 1 or c[0] in succ[c[0]], max([prio[v] for v in c]))
-                for c in strongly_connected(group, succ)]
+        return [(c, cyclic, max([prio[v] for v in c]) if cyclic else prio[c[0]])
+                for c, cyclic in strongly_connected(group, succ)]
 
     top = max(prio)
     level = sccs(nodes)
@@ -266,7 +277,7 @@ def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
     adj = {v: [] for v in report.base_nodes}
     for v, w in arcs:
         adj[v].append(w)
-    comps = strongly_connected(report.base_nodes, adj)
+    comps = [comp for comp, _ in strongly_connected(report.base_nodes, adj)]
     comp_of = {}
     for i, comp in enumerate(comps):
         for v in comp:
@@ -412,8 +423,8 @@ def min_bottleneck_cycle_costs(comp, costs):
         for (v, w), cost in costs.items():
             if cost <= c:
                 adj[v].append(w)
-        for K in strongly_connected(comp, adj):
-            if len(K) > 1 or K[0] in adj[K[0]]:
+        for K, cyclic in strongly_connected(comp, adj):
+            if cyclic:
                 for v in K:
                     if result[v] is INF:
                         result[v] = c
@@ -611,9 +622,11 @@ def least_fixed_point_perfect(sub, mu: NodeLabeling, spec: TreeSpec,
     base = list(_base_components(sub.nodes, sub.succ, sub.priorities))
     mu2 = mu.copy()
     for v in base:
-        targets = [tighten_target(spec, mu2[w], sub.priorities[v]) for w in sub.succ[v]]
-        if all(mu2[v] < t for t in targets):
-            mu2[v] = min(targets)
+        # labels, TOP included, are totally ordered: every out-arc is violated
+        # exactly when the least target is above v's label
+        target = min(tighten_target(spec, mu2[w], sub.priorities[v]) for w in sub.succ[v])
+        if mu2[v] < target:
+            mu2[v] = target
     out = dijkstra(sub, mu2, base, counters)
     if not mu.leq(out):
         raise InvariantError("fixed point fell below the input labeling")

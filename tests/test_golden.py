@@ -5,7 +5,8 @@ in-process with its flags; the sha256 of its exit code, stdout (with
 ``wall_ms`` masked) and stderr must equal the recorded digest.  The corpus
 covers the perfect tree (auto and ``--engine lc``), succinct and strahler
 trees, all three pivot rules, capacities n and max(2, n // 3), and
-``--dump-aux`` and ``--format text`` on some solves.
+``--dump-aux`` and ``--format text`` on some solves.  Six bench-sized
+first-pivot solves pin their drop, phase and lift counts.
 
 A change that means to alter the output rewrites the file with
 
@@ -83,6 +84,28 @@ def test_golden_cli_corpus(tmp_path):
     got = list(_run(cases, tmp_path))
     bad = [(c["game"], c["flags"]) for c, h in zip(cases, got) if h != c["sha256"]]
     assert not bad, f"{len(bad)} solves changed output, first {bad[0]}"
+
+
+# (seed, drops, phases, lifts) of ``solve --tree perfect --pivot first`` on
+# gen_random(150, 8, 3, seed), the benchmark's first-pivot games.  The corpus
+# above (n <= 30) does not see a change in the order of the label-setting
+# engine's potentials; these counts do, since that order decides which node
+# Dijkstra admits first and so how often labels drop.
+BENCH_SCALE = [(701, 1561, 30, 144), (702, 2252, 17, 132), (703, 2474, 28, 207),
+               (704, 2319, 53, 507), (705, 1955, 23, 127), (706, 1857, 31, 357)]
+
+
+def test_drop_counts_at_bench_scale(tmp_path):
+    got = []
+    for seed, *_ in BENCH_SCALE:
+        path = tmp_path / f"g{seed}.pg"
+        path.write_text(write_pgsolver(gen_random(150, 8, 3, seed)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["solve", str(path), "--tree", "perfect", "--pivot", "first"]) == 0
+        res = json.loads(out.getvalue())
+        got.append((seed, res["drops"], res["phases"], res["lifts"]))
+    assert got == BENCH_SCALE
 
 
 if __name__ == "__main__":

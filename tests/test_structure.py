@@ -70,11 +70,18 @@ def test_strongly_connected_example_order():
     # Tarjan from node 0: the sink {3} first, then {1, 2} popped 2 before 1,
     # then {0}; node 4 is a later root
     succ = [[1], [2, 3], [1], [], [0]]
-    assert strongly_connected(range(5), succ) == [[3], [2, 1], [0], [4]]
+    assert strongly_connected(range(5), succ) == [
+        ([3], False), ([2, 1], True), ([0], False), ([4], False)]
+    # node 4 now enters node 5, whose self-loop makes it a cyclic component
+    # of one node, popped before its acyclic parent
+    succ = [[1], [2, 3], [1], [], [5, 0], [5]]
+    assert strongly_connected(range(6), succ) == [
+        ([3], False), ([2, 1], True), ([0], False), ([5], True), ([4], False)]
 
 
 def test_strongly_connected_matches_networkx():
     rng = random.Random(SEED + 1)
+    single_loops = outside_loops = 0
     for sub in _graphs(2000):
         nodes = [v for v in range(sub.n) if rng.random() < 0.8]
         rng.shuffle(nodes)
@@ -82,15 +89,23 @@ def test_strongly_connected_matches_networkx():
         adj = {v: [w for w in sub.succ[v] if w in keep] for v in nodes}
         comps = strongly_connected(nodes, adj)
         # the full successor lists skip the heads outside ``nodes``: the same
-        # components in the same order
+        # components in the same order, with the same flags
         assert strongly_connected(nodes, sub.succ) == comps
         dig = _digraph(keep, sub.succ)
-        assert sorted(map(sorted, comps)) == sorted(
+        assert sorted(sorted(comp) for comp, _ in comps) == sorted(
             map(sorted, nx.strongly_connected_components(dig)))
+        # each component's flag is whether it holds a cycle
+        for comp, cyclic in comps:
+            assert cyclic == _is_cyclic(dig, comp)
+            single_loops += cyclic and len(comp) == 1
+        # a self-loop on a skipped head makes no member cyclic
+        outside_loops += sum(1 for v in nodes for w in sub.succ[v]
+                             if w not in keep and w in sub.succ[w])
         # sinks first: every arc leaves a component for one emitted no later
-        position = {v: i for i, comp in enumerate(comps) for v in comp}
+        position = {v: i for i, (comp, _) in enumerate(comps) for v in comp}
         for v, w in dig.edges:
             assert position[w] <= position[v]
+    assert single_loops > 1000 and outside_loops > 300
 
 
 def test_layers_match_networkx():
