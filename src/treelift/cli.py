@@ -141,6 +141,8 @@ def cmd_solve(args) -> int:
         raise UsageError("--strahler-g requires --tree strahler")
     if args.budget is not None and args.algo != "progress":
         raise UsageError("--budget requires --algo progress")
+    if args.budget is not None and args.budget < 0:
+        raise UsageError("--budget must be >= 0")
     if args.algo == "progress":
         for flag, given in (("--race-naive", args.race_naive), ("--dump-aux", args.dump_aux),
                             (f"--engine {args.engine}", args.engine != "auto"),

@@ -342,14 +342,18 @@ def gen_random(n: int, d: int, max_out_degree: int, seed: int) -> ParityGame:
 def gen_worstcase(base: ParityGame, k: int) -> ParityGame:
     """Attach the two-node distraction gadget: Odd nodes a, b of odd priority
     k with arcs a->b, b->a, a->x and x->a, where x is the lowest-id node of
-    maximum even priority d."""
+    maximum even priority d.  k is a priority as written in the file, and so
+    is checked against x's as written there: odd, at least 1 and below it,
+    which keeps the gadget below x once the priorities are compressed."""
     d = base.d
-    if k % 2 == 0 or k >= d:
-        raise UsageError(f"gadget priority k={k} must be odd and < d={d}")
     targets = [v for v in range(base.n) if base.priorities[v] == d]
     if not targets:
         raise UsageError(f"base game has no node of priority d={d}")
     x = targets[0]
+    px = base.orig_priorities[x]
+    if k % 2 == 0 or not 1 <= k < px:
+        raise UsageError(f"gadget priority k={k} must be odd, >= 1 and < {px}, "
+                         f"the priority of node {base.label_of(x)}")
     n = base.n
     a, b = n, n + 1
     owners = list(base.owners) + [ODD, ODD]

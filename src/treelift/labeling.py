@@ -14,7 +14,7 @@ from collections import deque
 
 from . import trees
 from .errors import LiftBudgetExceeded
-from .game import EVEN, ODD
+from .game import EVEN
 from .trees import TOP, TreeSpec, tighten_target
 
 
@@ -82,38 +82,6 @@ def lift_arc(graph, labeling: NodeLabeling, v: int, w: int):
     target = tighten_target(labeling.spec, labeling[w], graph.priorities[v])
     lab = labeling[v]
     return lab if target < lab else target
-
-
-def drop_arc(graph, labeling: NodeLabeling, v: int, w: int):
-    """Largest label <= nu(v) making vw non-loose: min(nu(v), tight)."""
-    target = tighten_target(labeling.spec, labeling[w], graph.priorities[v])
-    lab = labeling[v]
-    return lab if lab < target else target
-
-
-def is_feasible(graph, labeling: NodeLabeling, arcs=None, witness: bool = False):
-    """Feasibility of the labeling in the subgraph given by ``arcs``
-    (default: all arcs of ``graph``): every Odd arc non-violated and every
-    Even node with out-arcs has a non-violated one.  With ``witness=True``
-    returns (ok, sigma) where sigma picks one such arc per Even node."""
-    if arcs is None:
-        arcs = list(graph.arcs())
-    even_out: dict[int, list[int]] = {}
-    sigma: dict[int, int] = {}
-    for v, w in arcs:
-        if graph.owners[v] == ODD:
-            if arc_status(graph, labeling, v, w) == ArcStatus.VIOLATED:
-                return (False, None) if witness else False
-        else:
-            even_out.setdefault(v, []).append(w)
-    for v, outs in even_out.items():
-        for w in sorted(outs):
-            if arc_status(graph, labeling, v, w) != ArcStatus.VIOLATED:
-                sigma[v] = w
-                break
-        else:
-            return (False, None) if witness else False
-    return (True, sigma) if witness else True
 
 
 @dataclass

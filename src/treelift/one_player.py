@@ -255,40 +255,6 @@ def find_base_nodes(sub) -> BaseNodeReport:
     return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops, components)
 
 
-@dataclass(frozen=True)
-class AuxiliaryDigraph:
-    """Digraph on base nodes: arc vw when v dominates J_w, self-loop ww when
-    w keeps an outgoing arc in J_w.  Components are strongly connected."""
-
-    nodes: tuple
-    arcs: frozenset
-    components: tuple
-
-
-def build_auxiliary_digraph(sub, report: BaseNodeReport) -> AuxiliaryDigraph:
-    """The auxiliary digraph of ``report``'s base nodes with its SCCs, which
-    are ``report.components``: each arc (v, w) has v among the tops of K_w,
-    and a path inside K between two tops splits at its tops into auxiliary
-    arcs.  A reference for the tests; the engine reads the components off
-    the report."""
-    arcs = set()
-    for w in report.base_nodes:
-        arcs.update(_arc_costs(sub, report, w, lambda u: 0))
-    adj = {v: [] for v in report.base_nodes}
-    for v, w in arcs:
-        adj[v].append(w)
-    comps = [comp for comp, _ in strongly_connected(report.base_nodes, adj)]
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    for v, w in arcs:
-        if comp_of[v] != comp_of[w]:
-            raise InvariantError("auxiliary digraph component not strongly connected")
-    components = tuple(tuple(sorted(c)) for c in sorted(comps, key=min))
-    return AuxiliaryDigraph(tuple(report.base_nodes), frozenset(arcs), components)
-
-
 # ---------------------------------------------------------------------------
 # Bellman-Ford
 # ---------------------------------------------------------------------------

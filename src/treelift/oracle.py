@@ -2,9 +2,10 @@
 
 These deliberately avoid the engine code paths they are used to check:
 the winner oracle is the classical attractor recursion, the fixed-point
-oracle re-implements arc feasibility on its own, and the tree oracles work
-on plain string tuples enumerated by filtering.  ``NaiveRace`` runs the
-fixed-point oracle against every phase of a solve.
+oracle and the whole-game arc scans that the tests hold the solver's
+per-phase check against re-implement arc feasibility on their own, and the
+tree oracles work on plain string tuples enumerated by filtering.
+``NaiveRace`` runs the fixed-point oracle against every phase of a solve.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cmp_to_key, lru_cache
 
 from . import trees
 from .errors import InvariantError, UsageError
-from .game import EVEN
+from .game import EVEN, ODD
 from .labeling import NodeLabeling
 from .one_player import Counters
 from .trees import TOP, TreeSpec
@@ -123,6 +124,108 @@ class NaiveRace(Counters):
     def phase(self, sub, before, after):
         if naive_lfp(sub, before, before.spec) != after:
             raise InvariantError("engine disagrees with the naive lifting oracle")
+
+
+# ---------------------------------------------------------------------------
+# whole-game arc scans and the auxiliary digraph (independent arc logic)
+# ---------------------------------------------------------------------------
+
+
+def _target(graph, labeling: NodeLabeling, v: int, w: int):
+    return _lift_target(labeling.spec, labeling[w], graph.priorities[v])
+
+
+def drop_arc(graph, labeling: NodeLabeling, v: int, w: int):
+    """Largest label <= the tail's making arc vw non-loose: the smaller of
+    the tail's label and the tight value."""
+    lab, target = labeling[v], _target(graph, labeling, v, w)
+    return lab if lab < target else target
+
+
+def is_feasible(graph, labeling: NodeLabeling, arcs=None, witness: bool = False):
+    """Feasibility of the labeling in the subgraph given by ``arcs``
+    (default: all arcs of ``graph``): every Odd arc non-violated and every
+    Even node with out-arcs has a non-violated one.  With ``witness=True``
+    returns (ok, sigma) where sigma picks the non-violated arc of lowest head
+    per Even node."""
+    if arcs is None:
+        arcs = list(graph.arcs())
+    ok = lambda v, w: not labeling[v] < _target(graph, labeling, v, w)
+    even_out = {}
+    for v, w in arcs:
+        if graph.owners[v] == EVEN:
+            even_out.setdefault(v, []).append(w)
+        elif not ok(v, w):
+            return (False, None) if witness else False
+    sigma = {}
+    for v, outs in even_out.items():
+        good = [w for w in sorted(outs) if ok(v, w)]
+        if not good:
+            return (False, None) if witness else False
+        sigma[v] = good[0]
+    return (True, sigma) if witness else True
+
+
+def admissible_arcs(game, labeling: NodeLabeling) -> list:
+    """Every Odd-owned arc of the game violated by the labeling, sorted by
+    (tail, head)."""
+    return [(v, w) for v in range(game.n) if game.owners[v] == ODD
+            for w in game.succ[v] if labeling[v] < _target(game, labeling, v, w)]
+
+
+def extract_even_strategy(game, labeling: NodeLabeling) -> dict:
+    """The tight out-arc of lowest head of every Even node below TOP; raises
+    ``InvariantError`` when such a node has none."""
+    sigma = {}
+    for v in range(game.n):
+        if game.owners[v] != EVEN or labeling[v] is TOP:
+            continue
+        tight = [w for w in game.succ[v] if labeling[v] == _target(game, labeling, v, w)]
+        if not tight:
+            raise InvariantError(f"even node {v} in the winning set has no tight arc")
+        sigma[v] = min(tight)
+    return sigma
+
+
+@dataclass(frozen=True)
+class AuxiliaryDigraph:
+    """Digraph on base nodes: arc vw when v dominates J_w, self-loop ww when
+    w keeps an outgoing arc in J_w.  Components are strongly connected."""
+
+    nodes: tuple
+    arcs: frozenset
+    components: tuple
+
+
+def build_auxiliary_digraph(sub, report) -> AuxiliaryDigraph:
+    """The auxiliary digraph of a ``one_player.BaseNodeReport``: an arc
+    (v, w) for each top v of J_w with an out-neighbour in J_w that is w or
+    no top.  Its components are found by mutual reachability, each sorted,
+    in order of their least node.  An arc between two components raises
+    ``InvariantError``: a path between two tops inside one base component
+    splits at its tops into auxiliary arcs, so none can leave it."""
+    arcs = set()
+    for w in report.base_nodes:
+        nodes, tops = report.j_nodes[w], report.j_tops[w]
+        for v in tops:
+            if any(x in nodes and (x == w or x not in tops) for x in sub.succ[v]):
+                arcs.add((v, w))
+    reach = {}
+    for v in report.base_nodes:
+        seen, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for x, y in arcs:
+                if x == u and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        reach[v] = seen
+    components = tuple(sorted({tuple(sorted(w for w in reach[v] if v in reach[w]))
+                               for v in report.base_nodes}))
+    for v, w in arcs:
+        if v not in reach[w]:
+            raise InvariantError("auxiliary digraph component not strongly connected")
+    return AuxiliaryDigraph(tuple(report.base_nodes), frozenset(arcs), components)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ re-solves only the nodes R that reach a switched node: the rest of the game
 is closed under successors and keeps its arcs, so the previous labels are
 still its least fixed point above themselves, and R's least fixed point is
 taken with those labels pinned at R's boundary (``game.Region``).
+
+A phase is the engine's fixed point and three functions: ``is_feasible``
+checks it, ``admissible_arcs`` lists the arcs to pivot on, and ``pivot``
+switches Odd onto the ones the rule selects.  ``extract_even_strategy``
+reads Even's strategy off the last phase's check.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from . import one_player, trees
 from .errors import InvariantError, UsageError
 from .game import EVEN, ODD, ParityGame, Region, StrategySubgraph, default_strategy
-from .labeling import ArcStatus, NodeLabeling, arc_status, lift_arc
+from .labeling import NodeLabeling, lift_arc
 from .trees import TOP, TreeSpec, tighten_target
 
 
@@ -72,98 +77,84 @@ class SwitchRandom:
         return {v: self.rng.choice(per_node[v]) for v in sorted(chosen)}
 
 
-def admissible_arcs(game: ParityGame, labeling: NodeLabeling):
-    """All Odd-owned arcs violated by the labeling, sorted by (tail, head)."""
-    out = []
-    for v in game.odd_nodes():
-        for w in game.succ[v]:
-            if arc_status(game, labeling, v, w) == ArcStatus.VIOLATED:
-                out.append((v, w))
-    return out
+def is_feasible(game: ParityGame, tau: dict, old: NodeLabeling, new: NodeLabeling,
+                heads: list, dirty: set) -> list:
+    """The solver's per-phase check; returns the nodes whose label changed
+    from ``old`` to ``new``, in increasing order.
+
+    It raises ``InvariantError`` if the phase's labeling ``new`` lies below
+    the previous one, or if it is infeasible or has a loose arc in the
+    strategy subgraph of ``tau``. Every strategy arc must be tight. Every
+    Even arc must be tight or violated, with at least one tight arc per Even
+    node.
+
+    ``heads[v]`` is the per-tail result, kept across the phases of a solve:
+    the violated heads of an Odd tail, which are its admissible arcs, or the
+    first tight head of an Even tail. An arc's status depends only on the two
+    labels, the tail's priority and whether the arc is the tail's strategy
+    arc. So a call re-classifies only the dirty tails: ``dirty`` holds the
+    tails the pivot switched (every node on the first phase), and the call
+    adds to it the nodes whose label changed and their game predecessors.
+    Every other tail passed last phase with the same inputs, so
+    re-classifying the dirty tails in increasing order raises the error a
+    full scan would."""
+    values = new.values
+    # whole-game on purpose: a label the engine moved outside its region
+    # still makes its node and the node's predecessors dirty
+    changed = []
+    for v, (a, b) in enumerate(zip(old.values, values)):
+        if a is not b and a != b:
+            if not a < b:
+                raise InvariantError("labeling decreased across a phase")
+            changed.append(v)
+            dirty.add(v)
+            dirty.update(game.pred[v])
+    spec, prio, owners, succ = new.spec, game.priorities, game.owners, game.succ
+    for v in sorted(dirty):
+        p, lab = prio[v], values[v]
+        odd = owners[v] == ODD
+        chosen = tau[v] if odd else None
+        adm, tight = [], None  # successors are sorted
+        for w in succ[v]:
+            # arc_status's comparisons, inlined
+            target = tighten_target(spec, values[w], p)
+            if lab is target or lab == target:
+                if tight is None:
+                    tight = w
+            elif lab < target:
+                if w == chosen:
+                    raise InvariantError(f"phase labeling violates strategy arc {v}->{w}")
+                adm.append(w)
+            elif not odd or w == chosen:
+                raise InvariantError(f"phase labeling has a loose arc {v}->{w}")
+        if not odd and tight is None:
+            raise InvariantError(f"phase labeling leaves even node {v} without a tight arc")
+        heads[v] = adm if odd else tight
+    return changed
 
 
-class _PhaseCheck:
-    """The solver's per-phase check, which keeps its state across phases.
-
-    A call raises ``InvariantError`` if a phase's labeling lies below the
-    previous one, or if it is infeasible or has a loose arc in the strategy
-    subgraph of ``tau``. Every strategy arc must be tight. Every Even arc must
-    be tight or violated, with at least one tight arc per Even node.
-
-    ``heads[v]`` is the per-tail result: the violated heads of an Odd tail,
-    which are its admissible arcs, or the first tight head of an Even tail.
-    An arc's status depends only on the two labels, the tail's priority and
-    whether the arc is the tail's strategy arc. So a call re-classifies only
-    the dirty tails: the switched tails, the nodes whose label changed and
-    their game predecessors. Every other tail passed last phase with the same
-    inputs, so re-classifying the dirty tails in increasing order raises the
-    error a full scan would. On the first phase every tail is dirty."""
-
-    def __init__(self, game: ParityGame):
-        self.game = game
-        self.heads = [()] * game.n
-        self.dirty = set(range(game.n))
-
-    def __call__(self, tau: dict, old: NodeLabeling, new: NodeLabeling, switched) -> list:
-        """Check the phase from ``old`` to ``new`` after the pivot that
-        switched the tails ``switched``; return the nodes whose label
-        changed, in increasing order."""
-        game, dirty, heads, values = self.game, self.dirty, self.heads, new.values
-        dirty.update(switched)
-        # whole-game on purpose: a label the engine moved outside its region
-        # still makes its node and the node's predecessors dirty
-        changed = []
-        for v, (a, b) in enumerate(zip(old.values, values)):
-            if a is not b and a != b:
-                if not a < b:
-                    raise InvariantError("labeling decreased across a phase")
-                changed.append(v)
-                dirty.add(v)
-                dirty.update(game.pred[v])
-        spec, prio, owners, succ = new.spec, game.priorities, game.owners, game.succ
-        for v in sorted(dirty):
-            p, lab = prio[v], values[v]
-            odd = owners[v] == ODD
-            chosen = tau[v] if odd else None
-            adm, tight = [], None  # successors are sorted
-            for w in succ[v]:
-                # arc_status's comparisons, inlined
-                target = tighten_target(spec, values[w], p)
-                if lab is target or lab == target:
-                    if tight is None:
-                        tight = w
-                elif lab < target:
-                    if w == chosen:
-                        raise InvariantError(f"phase labeling violates strategy arc {v}->{w}")
-                    adm.append(w)
-                elif not odd or w == chosen:
-                    raise InvariantError(f"phase labeling has a loose arc {v}->{w}")
-            if not odd and tight is None:
-                raise InvariantError(f"phase labeling leaves even node {v} without a tight arc")
-            heads[v] = adm if odd else tight
-        dirty.clear()
-        return changed
-
-    def admissible(self) -> list:
-        """The admissible arcs, the same list as ``admissible_arcs``."""
-        return [(v, w) for v in self.game.odd_nodes() for w in self.heads[v]]
-
-    def even_strategy(self, labeling: NodeLabeling) -> dict:
-        """The tight out-arc of lowest head of each Even node below TOP,
-        Even's strategy once no arc is admissible."""
-        heads, values = self.heads, labeling.values
-        return {v: heads[v] for v in range(self.game.n)
-                if self.game.owners[v] == EVEN and values[v] is not TOP}
+def admissible_arcs(game: ParityGame, heads: list) -> list:
+    """The admissible arcs, sorted by (tail, head): the Odd-owned arcs that
+    ``is_feasible`` last found violated, read off its ``heads``."""
+    return [(v, w) for v in game.odd_nodes() for w in heads[v]]
 
 
-def pivot(game: ParityGame, tau: dict, labeling: NodeLabeling, rule):
-    adm = admissible_arcs(game, labeling)
-    if not adm:
-        raise UsageError("pivot called without admissible arcs")
-    switches = rule.select(game, labeling, adm)
-    new = dict(tau)
-    new.update(switches)
-    return new
+def pivot(sub: StrategySubgraph, labeling: NodeLabeling, admissible: list, rule):
+    """Switch Odd onto the arcs ``rule`` selects among ``admissible``:
+    (the switches {tail: head}, the switched strategy subgraph, the
+    ``Region`` of it that the next phase re-solves)."""
+    switches = rule.select(sub.game, labeling, admissible)
+    sub = sub.switch(switches)
+    return switches, sub, Region(sub, switches)
+
+
+def extract_even_strategy(game: ParityGame, heads: list, labeling: NodeLabeling) -> dict:
+    """Even's strategy once no arc is admissible: for each Even node below
+    TOP, the tight out-arc of lowest head that ``is_feasible`` recorded in
+    ``heads``."""
+    values = labeling.values
+    return {v: heads[v] for v in range(game.n)
+            if game.owners[v] == EVEN and values[v] is not TOP}
 
 
 @dataclass
@@ -197,21 +188,6 @@ class SolveResult:
             "wall_ms": self.wall_ms,
             "warnings": list(self.warnings),
         }
-
-
-def extract_even_strategy(game: ParityGame, labeling: NodeLabeling) -> dict:
-    """Tight out-arc (lowest head id) per Even node in the non-top region."""
-    sigma = {}
-    for v in range(game.n):
-        if game.owners[v] != EVEN or labeling[v] is TOP:
-            continue
-        for w in game.succ[v]:
-            if arc_status(game, labeling, v, w) == ArcStatus.TIGHT:
-                sigma[v] = w
-                break
-        else:
-            raise InvariantError(f"even node {v} in the winning set has no tight arc")
-    return sigma
 
 
 def _engine_for(spec: TreeSpec, engine: str, n: int):
@@ -266,25 +242,23 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
     sub = StrategySubgraph(game, tau)
     new = lfp(sub, mu, spec, counters)
     solved = range(game.n)
-    check = _PhaseCheck(game)
-    switches = {}
+    heads = [()] * game.n
+    dirty = set(solved)
     while True:
         counters.phase(sub, mu, new)
         phases += 1
-        changed = check(tau, mu, new, switches)
+        changed = is_feasible(game, sub.tau, mu, new, heads, dirty)
         lifts += sum(1 for v in changed if v in solved)
         mu = new
         if record_phases:
             phase_labels.append(mu)
-        adm = check.admissible()
+        adm = admissible_arcs(game, heads)
         if not adm:
             break
         if phases > phase_cap:
             raise InvariantError("phase cap exceeded; monotonicity must be broken")
-        switches = rule.select(game, mu, adm)
-        sub = sub.switch(switches)
-        tau = sub.tau
-        region = Region(sub, switches)
+        switches, sub, region = pivot(sub, mu, adm, rule)
+        dirty = set(switches)
         new = lfp(region, mu, spec, counters)
         solved = region.inner
 
@@ -293,10 +267,10 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(
         labeling=mu,
-        strategy_odd=tau,
+        strategy_odd=sub.tau,
         even_wins=even_wins,
         odd_wins=odd_wins,
-        even_strategy=check.even_strategy(mu),
+        even_strategy=extract_even_strategy(game, heads, mu),
         phases=phases,
         lifts=lifts,
         drops=counters.drops - drops0,

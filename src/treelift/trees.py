@@ -303,13 +303,6 @@ def validate_label(spec: TreeSpec, label) -> None:
     _strahler_state(spec, label)  # runs the full structural check
 
 
-def leaf_cmp(spec: TreeSpec, a, b) -> int:
-    """Total order on labels: -1, 0 or 1.  TOP is the maximum."""
-    validate_label(spec, a)
-    validate_label(spec, b)
-    return (a > b) - (a < b)
-
-
 # ---------------------------------------------------------------------------
 # truncation
 # ---------------------------------------------------------------------------
@@ -479,7 +472,7 @@ def tighten_target(spec: TreeSpec, head_label, p: int):
 
 
 # ---------------------------------------------------------------------------
-# zeta and zero stripping (string trees)
+# zeta (string trees)
 # ---------------------------------------------------------------------------
 
 
@@ -491,19 +484,6 @@ def zeta(spec: TreeSpec, label) -> int:
         return -1
     length, bits = _sdecode(spec, label[0])
     return length - bits.bit_length()
-
-
-def strip_zeros(spec: TreeSpec, label, kappa: int):
-    """Delete ``kappa`` leading zeroes from the first component; TOP if the
-    first component has fewer than ``kappa`` of them."""
-    if spec.kind != SUCCINCT:
-        raise UsageError("strip_zeros is defined for succinct trees only")
-    if kappa < 0:
-        raise UsageError("kappa must be >= 0")
-    if label is TOP or kappa > zeta(spec, label):
-        return TOP
-    length, bits = _sdecode(spec, label[0])
-    return (_skey(spec, length - kappa, bits),) + label[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +515,6 @@ def chain_length(spec: TreeSpec, j: int, k: int) -> int:
     if j == 0:
         return 1
     return spec.bits + 1
-
-
-def chain_info(spec: TreeSpec, j: int):
-    """(number of chains, {k: chain length}) for the height-j subcover."""
-    ks = chain_indices(spec, j)
-    return len(ks), {k: chain_length(spec, j, k) for k in ks}
 
 
 def chain_member_spec(spec: TreeSpec, j: int, k: int, i: int) -> TreeSpec:

@@ -15,13 +15,13 @@ import pytest
 from treelift import trees
 from treelift.game import (StrategySubgraph, gen_random, gen_worstcase,
                            parse_pgsolver, write_pgsolver)
-from treelift.labeling import NodeLabeling, is_feasible
-from treelift.one_player import (arc_costs_generic, arc_costs_succinct,
-                                 build_auxiliary_digraph, dijkstra,
+from treelift.labeling import NodeLabeling
+from treelift.one_player import (arc_costs_generic, arc_costs_succinct, dijkstra,
                                  find_base_nodes, least_fixed_point_lc,
                                  least_fixed_point_perfect,
                                  min_bottleneck_cycle_costs)
-from treelift.oracle import brute_raise, embed_check, naive_lfp, zielonka_solve
+from treelift.oracle import (brute_raise, build_auxiliary_digraph, embed_check,
+                             is_feasible, naive_lfp, zielonka_solve)
 from treelift.solver import strategy_iteration_solve
 from treelift.trees import (TOP, TreeSpec, leaf_count, leaf_from_components,
                             tighten_target)

@@ -8,6 +8,7 @@ import pytest
 from treelift import one_player, oracle
 from treelift.cli import bench_report, main
 from treelift.errors import UsageError
+from treelift.game import parse_pgsolver
 from treelift.labeling import NodeLabeling
 from treelift.trees import TOP
 
@@ -94,6 +95,16 @@ def test_budget_needs_progress_algo(worked_path, capsys):
     assert main(["solve", worked_path, "--algo", "progress", "--budget", "1000"]) == 0
 
 
+def test_budget_must_not_be_negative(worked_path, capsys):
+    capsys.readouterr()
+    assert main(["solve", worked_path, "--algo", "progress", "--budget", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --budget must be >= 0\n"
+    assert main(["solve", worked_path, "--algo", "progress", "--budget", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "lift budget exhausted after 0 lifts" in err
+
+
 @pytest.mark.parametrize("flags", [["--race-naive"], ["--dump-aux"], ["--engine", "lc"],
                                    ["--engine", "perfect"], ["--engine", "dijkstra"],
                                    ["--pivot", "random"], ["--seed", "5"]])
@@ -160,6 +171,34 @@ def test_gen_worstcase(tmp_path):
     assert len(out.strip().splitlines()) == 5  # header + 4 nodes
     rc, _, err = run_cli(["gen", "worstcase", "--base", str(base), "--k", "2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("base_text,k,rejected", [
+    # a negative k used to pass the parity test and write a file that
+    # solve rejects
+    ("0 4 0 1;\n1 2 0 0;\n", -1, True),
+    # x's 0 compresses to 2, so the gadget at 1 (compressed 3) would sit above it
+    ("0 0 0 0;\n", 1, True),
+    # raw 0 and 20 compress to 2 and 4; k is compared with the 20 of the file
+    ("0 0 0 1;\n1 20 0 0;\n", 5, False),
+], ids=["negative-k", "x-at-raw-0", "x-at-raw-20"])
+def test_gen_worstcase_checks_k_against_x_as_written(tmp_path, capsys, base_text, k, rejected):
+    base = tmp_path / "base.pg"
+    base.write_text(base_text)
+    capsys.readouterr()
+    rc = main(["gen", "worstcase", "--base", str(base), "--k", str(k)])
+    out, err = capsys.readouterr()
+    if rejected:
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: gadget priority k={k} must be odd, >= 1 and < ")
+        return
+    assert rc == 0 and err == ""
+    game = parse_pgsolver(out)
+    x, a, b = 1, game.n - 2, game.n - 1
+    assert game.orig_priorities[a] == game.orig_priorities[b] == k
+    assert game.priorities[a] < game.priorities[x] == game.d
+    (tmp_path / "worst.pg").write_text(out)
+    assert main(["solve", str(tmp_path / "worst.pg")]) == 0
 
 
 # one label-correcting phase with two chains at priority 6 and three at 4,

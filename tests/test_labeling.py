@@ -5,8 +5,9 @@ import pytest
 from treelift import trees
 from treelift.errors import LiftBudgetExceeded
 from treelift.game import StrategySubgraph, gen_random, parse_pgsolver
-from treelift.labeling import (ArcStatus, NodeLabeling, arc_status, drop_arc,
-                               is_feasible, lift_arc, progress_measure_solve)
+from treelift.labeling import (ArcStatus, NodeLabeling, arc_status, lift_arc,
+                               progress_measure_solve)
+from treelift.oracle import drop_arc, is_feasible
 from treelift.trees import TOP, TreeSpec, leaf_from_components as LF
 
 from .conftest import WORKED_TAU

@@ -14,14 +14,12 @@ from treelift.labeling import NodeLabeling
 from treelift.one_player import (Counters, _base_components, _bf,
                                  arc_costs_generic,
                                  arc_costs_succinct, bellman_ford,
-                                 build_auxiliary_digraph,
                                  compute_phi, dijkstra, find_base_nodes,
                                  least_fixed_point_lc,
                                  least_fixed_point_perfect,
                                  min_bottleneck_cycle_costs)
-from treelift.oracle import naive_lfp
-from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom, admissible_arcs,
-                             strategy_iteration_solve)
+from treelift.oracle import admissible_arcs, build_auxiliary_digraph, naive_lfp
+from treelift.solver import SwitchAll, SwitchFirst, SwitchRandom, strategy_iteration_solve
 from treelift.trees import TOP, TreeSpec, tighten_target
 
 from .conftest import WORKED_TAU, WORKED_TEXT
@@ -574,9 +572,6 @@ def _brute_threshold_label(sub, spec, w, mu):
 def test_base_seed_between_lfp_and_threshold():
     # the initialization the label-correcting engine computes for each base
     # node lies between the true fixed point and the threshold label
-    from treelift.one_player import (build_auxiliary_digraph, find_base_nodes,
-                                     least_fixed_point_lc)
-
     rng = random.Random(77)
     for _ in range(25):
         g = gen_random(rng.randint(2, 8), rng.randint(1, 4), 3,

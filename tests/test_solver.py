@@ -1,5 +1,10 @@
 import ast
+import contextlib
+import importlib
+import importlib.util
+import io
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -9,11 +14,11 @@ import pytest
 
 from treelift import one_player, solver, trees
 from treelift.errors import InvariantError, UsageError
-from treelift.game import gen_random, parse_pgsolver
-from treelift.labeling import NodeLabeling, is_feasible, progress_measure_solve
-from treelift.oracle import NaiveRace, zielonka_solve
-from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom,
-                             admissible_arcs, extract_even_strategy, pivot,
+from treelift.game import StrategySubgraph, gen_random, parse_pgsolver, write_pgsolver
+from treelift.labeling import NodeLabeling, progress_measure_solve
+from treelift.oracle import (NaiveRace, admissible_arcs, extract_even_strategy,
+                             is_feasible, zielonka_solve)
+from treelift.solver import (SwitchAll, SwitchFirst, SwitchRandom, pivot,
                              strategy_iteration_solve)
 from treelift.trees import TOP, TreeSpec, leaf_from_components as LF
 
@@ -21,6 +26,16 @@ from .conftest import WORKED_TAU, WORKED_TEXT
 from .test_labeling import worked_final, worked_middle
 
 A, B, C, D, E = range(5)
+# Odd's final strategy on the worked example
+WORKED_FINAL_TAU = {A: B, E: C}
+
+
+def _phase_heads(game, tau, labeling):
+    """The per-tail heads of a phase check that classifies every tail of a
+    phase that left ``labeling`` unchanged."""
+    heads = [()] * game.n
+    assert solver.is_feasible(game, tau, labeling, labeling, heads, set(range(game.n))) == []
+    return heads
 
 
 def test_admissible_arcs(worked, p32):
@@ -31,6 +46,10 @@ def test_admissible_arcs(worked, p32):
     # E's arc at even priority 2 is already tight
     assert admissible_arcs(worked, NodeLabeling.all_min(p32, worked.n)) == \
         [(A, B), (A, D)]
+    # the solver reads the same lists off its phase check
+    for tau, lab in ((WORKED_TAU, worked_middle(p32)), (WORKED_FINAL_TAU, worked_final(p32))):
+        assert solver.admissible_arcs(worked, _phase_heads(worked, tau, lab)) == \
+            admissible_arcs(worked, lab)
 
 
 def test_pivot_rules(worked, p32):
@@ -44,11 +63,15 @@ def test_pivot_rules(worked, p32):
     # the fixed point has no admissible arc, so nothing is switched
     final = worked_final(p32)
     assert SwitchAll().select(worked, final, admissible_arcs(worked, final)) == {}
-    # pivot is tau updated with the rule's switches on those arcs
-    assert pivot(worked, dict(WORKED_TAU), mid, SwitchAll()) == {A: B, E: C}
-    assert pivot(worked, dict(WORKED_TAU), mid, SwitchFirst()) == {A: B, E: C}
-    with pytest.raises(UsageError):
-        pivot(worked, dict(WORKED_TAU), final, SwitchAll())
+    # pivot switches the strategy subgraph to tau updated with the rule's
+    # switches on those arcs; every node reaches A, so the next phase
+    # re-solves the whole game
+    sub = StrategySubgraph(worked, WORKED_TAU)
+    for rule in (SwitchAll(), SwitchFirst()):
+        switches, new, region = pivot(sub, mid, adm, rule)
+        assert switches == {A: B} and new.tau == WORKED_FINAL_TAU
+        assert new.succ[A] == (B,) and region.inner == frozenset(range(worked.n))
+        assert sub.tau == WORKED_TAU
 
 
 def test_worked_phases_perfect(worked, p32):
@@ -91,6 +114,8 @@ def test_extract_even_strategy(worked, p32):
     assert res.labeling == worked_final(p32)
     assert res.even_strategy == {C: D, D: E}
     assert extract_even_strategy(worked, res.labeling) == {C: D, D: E}
+    heads = _phase_heads(worked, WORKED_FINAL_TAU, res.labeling)
+    assert solver.extract_even_strategy(worked, heads, res.labeling) == {C: D, D: E}
     assert extract_even_strategy(worked, NodeLabeling.all_top(p32, worked.n)) == {}
 
     loop = parse_pgsolver("0 2 0 0;")
@@ -261,20 +286,22 @@ def test_region_phases_equal_whole_graph(monkeypatch):
         monkeypatch.setattr(one_player, name, counting(name))
     # and every phase's incremental check equals a fresh one that classifies
     # every tail
-    incremental = solver._PhaseCheck.__call__
+    incremental = solver.is_feasible
     checked = []
 
-    def check_both(check, tau, old, new, switched):
-        changed = incremental(check, tau, old, new, switched)
-        full = solver._PhaseCheck(check.game)
-        assert incremental(full, tau, old, new, ()) == changed and full.heads == check.heads
-        adm = check.admissible()
-        assert adm == full.admissible() == admissible_arcs(check.game, new)
-        assert check.even_strategy(new) == full.even_strategy(new)
+    def check_both(game, tau, old, new, heads, dirty):
+        changed = incremental(game, tau, old, new, heads, dirty)
+        full = [()] * game.n
+        assert incremental(game, tau, old, new, full, set(range(game.n))) == changed
+        assert full == heads
+        adm = solver.admissible_arcs(game, heads)
+        assert adm == solver.admissible_arcs(game, full) == admissible_arcs(game, new)
+        assert solver.extract_even_strategy(game, heads, new) == \
+            solver.extract_even_strategy(game, full, new) == extract_even_strategy(game, new)
         checked.append(len(adm))
         return changed
 
-    monkeypatch.setattr(solver._PhaseCheck, "__call__", check_both)
+    monkeypatch.setattr(solver, "is_feasible", check_both)
     rng = random.Random(4242)
     phases = 0
     for i in range(30):
@@ -587,3 +614,45 @@ def test_package_has_no_asserts():
                   if isinstance(node, ast.Assert)
                   or (isinstance(node, ast.Name) and node.id == "__debug__")]
     assert len(names) > 5 and found == []
+
+
+def _bench_spans():
+    """bench/spans.py, imported without writing to the bench directory."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", os.path.join(root, "bench", "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_every_span_target_is_called(tmp_path):
+    # the benchmark's tracer wraps module attributes by name, so a target
+    # that exists but that no solve calls reads 0 ms on every run; each
+    # phase function is called once per phase, and the pivot once between
+    # two phases
+    modules = {name: importlib.import_module(f"treelift.{name}") for name in
+               ("cli", "game", "solver", "one_player", "trees", "oracle", "labeling")}
+    path = tmp_path / "g.pg"
+    path.write_text(write_pgsolver(gen_random(30, 6, 3, seed=1)))
+    check = solver.is_feasible
+    tracer = _bench_spans().Tracer(modules)
+    tracer.install()
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = modules["cli"].main(["solve", str(path), "--pivot", "first"])
+    finally:
+        tracer.uninstall()
+    phases = json.loads(out.getvalue())["phases"]
+    assert rc == 0 and phases >= 2
+    assert tracer.missing == set()
+    calls = tracer.span_calls()
+    assert calls["solver.checks"] == calls["solver.admissible_arcs"] == phases
+    assert calls["solver.pivot"] == phases - 1
+    assert calls["solver.extract_even_strategy"] == calls["game.StrategySubgraph"] == 1
+    assert solver.is_feasible is check

@@ -10,8 +10,8 @@ import pytest
 
 from treelift.errors import InvariantError
 from treelift.game import Region, StrategySubgraph, gen_random
-from treelift.one_player import (_layers, build_auxiliary_digraph, compute_phi,
-                                 find_base_nodes, strongly_connected)
+from treelift.one_player import _layers, compute_phi, find_base_nodes, strongly_connected
+from treelift.oracle import build_auxiliary_digraph
 
 SEED = 90210
 

@@ -11,12 +11,38 @@ import pytest
 from treelift import trees
 from treelift.errors import UsageError
 from treelift.oracle import all_leaves, brute_raise
-from treelift.trees import (TOP, TreeSpec, chain_info, format_label, leaf_cmp,
-                            leaf_count, leaf_from_components, min_leaf,
-                            min_leaf_below, raise_leaf, strip_zeros,
-                            tighten_target, truncate, zeta)
+from treelift.trees import (TOP, TreeSpec, format_label, leaf_count,
+                            leaf_from_components, min_leaf, min_leaf_below,
+                            raise_leaf, tighten_target, truncate, zeta)
 
 LF = leaf_from_components
+
+
+def leaf_cmp(spec: TreeSpec, a, b) -> int:
+    """Total order on labels of ``spec``, each validated: -1, 0 or 1.  TOP is
+    the maximum."""
+    trees.validate_label(spec, a)
+    trees.validate_label(spec, b)
+    return (a > b) - (a < b)
+
+
+def strip_zeros(spec: TreeSpec, label, kappa: int):
+    """Delete ``kappa`` leading zeroes from the first component of a succinct
+    leaf; TOP if the first component has fewer than ``kappa`` of them."""
+    if spec.kind != trees.SUCCINCT:
+        raise UsageError("strip_zeros is defined for succinct trees only")
+    if kappa < 0:
+        raise UsageError("kappa must be >= 0")
+    if label is TOP or kappa > zeta(spec, label):
+        return TOP
+    first, *rest = trees.components_of(spec, label)
+    return LF(spec, [first[kappa:], *rest])
+
+
+def chain_info(spec: TreeSpec, j: int):
+    """(number of chains, {k: chain length}) for the height-j subcover."""
+    ks = trees.chain_indices(spec, j)
+    return len(ks), {k: trees.chain_length(spec, j, k) for k in ks}
 
 
 def test_leaf_cmp_examples(s32):
