@@ -75,16 +75,21 @@ def _pivot_rule(name: str, seed: int):
 class _AuxDump(one_player.Counters):
     """``--dump-aux``: writes each label-correcting phase's auxiliary arcs to
     stderr as soon as the engine has their costs, one line per arc with its
-    cost per chain."""
+    cost per chain.  One dump watches one solve and keeps every arc's costs
+    across its phases: a phase on a region reports only the components
+    inside it, and every component lies wholly inside or outside, so an
+    arc's tail tells whether the phase re-solved its component."""
 
     def __init__(self, game):
         super().__init__()
         self.label_of, self.phases = game.label_of, 0
+        self.costs = {}
 
-    def aux_costs(self, tables):
+    def aux_costs(self, sub, tables):
         self.phases += 1
         print(f"# aux digraph, phase {self.phases}", file=sys.stderr)
-        costs = {}
+        costs = self.costs = {arc: cs for arc, cs in self.costs.items()
+                              if arc[0] not in sub.inner}
         for table in tables:
             for arc, cost in table.items():
                 costs.setdefault(arc, []).append(cost)
@@ -135,14 +140,10 @@ def _solve_one(game, args):
 
 def cmd_solve(args) -> int:
     game = gamemod.parse_pgsolver(_read_input(args.input))
-    if args.engine in ("perfect", "dijkstra") and args.tree != trees.PERFECT:
-        raise UsageError(f"engine {args.engine!r} requires --tree perfect")
     if args.strahler_g is not None and args.tree != trees.STRAHLER:
         raise UsageError("--strahler-g requires --tree strahler")
     if args.budget is not None and args.algo != "progress":
         raise UsageError("--budget requires --algo progress")
-    if args.budget is not None and args.budget < 0:
-        raise UsageError("--budget must be >= 0")
     if args.algo == "progress":
         for flag, given in (("--race-naive", args.race_naive), ("--dump-aux", args.dump_aux),
                             (f"--engine {args.engine}", args.engine != "auto"),

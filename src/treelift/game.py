@@ -35,7 +35,15 @@ class ParityGame:
     names: tuple        # node -> str | None
     orig_ids: tuple     # dense id -> id used in the source file
     orig_priorities: tuple  # node -> priority as given in the source
-    pred: tuple = field(default=(), compare=False)
+    # node -> sorted tuple of predecessors, derived from succ
+    pred: tuple = field(init=False, compare=False)
+
+    def __post_init__(self):
+        pred = [[] for _ in self.succ]
+        for v, outs in enumerate(self.succ):
+            for w in set(outs):
+                pred[w].append(v)
+        object.__setattr__(self, "pred", tuple(map(tuple, pred)))
 
     @property
     def n(self) -> int:
@@ -75,10 +83,6 @@ def _build(owners, priorities, succ, names=None, orig_ids=None, orig_priorities=
             if label in seen:
                 raise FormatError(f"two nodes are labelled {label!r}")
             seen.add(label)
-    pred = [[] for _ in range(n)]
-    for v, outs in enumerate(succ):
-        for w in outs:
-            pred[w].append(v)
     return ParityGame(
         owners=tuple(owners),
         priorities=tuple(priorities),
@@ -86,7 +90,6 @@ def _build(owners, priorities, succ, names=None, orig_ids=None, orig_priorities=
         names=names,
         orig_ids=orig_ids,
         orig_priorities=orig_priorities,
-        pred=tuple(tuple(sorted(set(p))) for p in pred),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from collections import deque
 
 from . import trees
-from .errors import LiftBudgetExceeded
+from .errors import LiftBudgetExceeded, UsageError
 from .game import EVEN
 from .trees import TOP, TreeSpec, tighten_target
 
@@ -98,8 +98,10 @@ def progress_measure_solve(game, spec: TreeSpec, budget=None) -> ProgressResult:
     Lift_v (Even) or Lift_vw (Odd) counts as one lift.  ``game`` may also be
     a ``StrategySubgraph``, a 1-player game for Even.  Raises
     LiftBudgetExceeded carrying the partial labeling when ``budget`` lift
-    applications are not enough.
+    applications are not enough, and UsageError for a negative ``budget``.
     """
+    if budget is not None and budget < 0:
+        raise UsageError(f"lift budget must be >= 0, got {budget}")
     succ, pred, n = game.succ, game.pred, game.n
     labeling = NodeLabeling.all_min(spec, n)
     lifts = 0

@@ -58,22 +58,18 @@ class Counters:
 
     drops: int = 0
     bf_runs: int = 0
-    # the label-correcting engine's latest cost tables, {component: one dict
-    # per chain}: a phase on a ``game.Region`` reports the components outside
-    # it from here, as their arcs did not change
-    aux_tables: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def bf_round(self, values):
         """After each round of ``_bf``, with the labels as they stand then
         (later rounds keep mutating ``values``), keyed by node id."""
 
-    def aux_costs(self, tables):
+    def aux_costs(self, sub, tables):
         """Once per label-correcting phase, before its final Bellman-Ford:
-        the auxiliary-digraph cost dicts {(v, w): cost}, one per
-        (component, chain), components in increasing order of their least
-        node and each component's chains in order; empty without base
-        nodes."""
+        the subgraph the engine solves and its auxiliary-digraph cost dicts
+        {(v, w): cost}, one per (component, chain), components in increasing
+        order of their least node and each component's chains in order;
+        empty without base nodes.  On a ``game.Region`` they cover only the
+        components inside ``sub.inner``."""
 
     def phase(self, sub, before, after):
         """Once per phase of a solve, right after the engine returns and
@@ -418,20 +414,6 @@ def require_no_loose(sub, mu: NodeLabeling) -> None:
                 raise UsageError(f"labeling has a loose arc {v}->{w}")
 
 
-def _report_aux(sub, tables, counters):
-    """Call ``counters.aux_costs`` with every table of the phase: ``tables``
-    ({component: [cost dict per chain]}) for the components of ``sub``, and,
-    when some node lies outside ``sub.inner``, the latest tables of the
-    components there.  Every component lies wholly inside or outside a
-    region, and the arcs outside did not change, so neither did their
-    tables."""
-    if len(sub.inner) < sub.n:
-        kept = {c: ts for c, ts in counters.aux_tables.items() if c[0] not in sub.inner}
-        tables = dict(sorted({**kept, **tables}.items()))
-    counters.aux_tables = tables
-    counters.aux_costs([costs for ts in tables.values() for costs in ts])
-
-
 def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                          counters=None) -> NodeLabeling:
     """Label-correcting least fixed point above ``mu`` (which must have no
@@ -444,11 +426,10 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
     nu = mu.copy()
     for v in sub.inner:
         nu[v] = TOP
-    tables = {}
+    tables = []
     for comp in report.components:
         j = sub.priorities[comp[0]] // 2
         per_node = {w: [] for w in comp}
-        tables[comp] = []
         for k in trees.chain_indices(spec, j):
             if spec.kind == trees.SUCCINCT:
                 costs = {}
@@ -456,7 +437,7 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                     costs.update(arc_costs_succinct(sub, report, w, spec, counters))
             else:
                 costs = arc_costs_generic(sub, report, comp, j, k, spec, counters)
-            tables[comp].append(costs)
+            tables.append(costs)
             ik = min_bottleneck_cycle_costs(comp, costs)
             for w in comp:
                 per_node[w].append((k, ik[w]))
@@ -473,7 +454,7 @@ def least_fixed_point_lc(sub, mu: NodeLabeling, spec: TreeSpec,
                 else:
                     best = min(best, trees.raise_leaf(spec, mu[w], int(i), j, k))
             nu[w] = best
-    _report_aux(sub, tables, counters)
+    counters.aux_costs(sub, tables)
     out = bellman_ford(sub, nu, counters)
     if not mu.leq(out):
         raise InvariantError("fixed point fell below the input labeling")

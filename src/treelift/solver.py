@@ -239,16 +239,16 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
     lifts = 0
     phases = 0
 
-    sub = StrategySubgraph(game, tau)
-    new = lfp(sub, mu, spec, counters)
-    solved = range(game.n)
+    # the first phase's region is the whole strategy subgraph
+    sub = region = StrategySubgraph(game, tau)
     heads = [()] * game.n
-    dirty = set(solved)
+    dirty = set(range(game.n))
     while True:
+        new = lfp(region, mu, spec, counters)
         counters.phase(sub, mu, new)
         phases += 1
         changed = is_feasible(game, sub.tau, mu, new, heads, dirty)
-        lifts += sum(1 for v in changed if v in solved)
+        lifts += sum(1 for v in changed if v in region.inner)
         mu = new
         if record_phases:
             phase_labels.append(mu)
@@ -259,8 +259,6 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
             raise InvariantError("phase cap exceeded; monotonicity must be broken")
         switches, sub, region = pivot(sub, mu, adm, rule)
         dirty = set(switches)
-        new = lfp(region, mu, spec, counters)
-        solved = region.inner
 
     even_wins = tuple(v for v in range(game.n) if mu[v] is not TOP)
     odd_wins = tuple(v for v in range(game.n) if mu[v] is TOP)

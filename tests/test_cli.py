@@ -72,9 +72,9 @@ def test_solve_usage_errors(tmp_path, worked_path):
     # two nodes named "n" would share one key of the JSON "labels" object
     rc, out, err = run_cli(["solve", "-"], stdin='0 2 0 1 "n"; 1 2 0 0 "n";')
     assert rc == 2 and out == "" and err.startswith("error:") and "'n'" in err
-    rc, _, err = run_cli(["solve", worked_path, "--tree", "succinct",
-                          "--engine", "perfect"])
-    assert rc == 2
+    rc, out, err = run_cli(["solve", worked_path, "--tree", "succinct",
+                            "--engine", "perfect"])
+    assert rc == 2 and out == "" and err == "error: engine 'perfect' requires a perfect tree\n"
     rc, _, err = run_cli(["solve", worked_path, "--capacity", "3",
                           "--engine", "dijkstra"])
     assert rc == 2 and err.startswith("error:")
@@ -99,7 +99,7 @@ def test_budget_must_not_be_negative(worked_path, capsys):
     capsys.readouterr()
     assert main(["solve", worked_path, "--algo", "progress", "--budget", "-1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: --budget must be >= 0\n"
+    assert out == "" and err == "error: lift budget must be >= 0, got -1\n"
     assert main(["solve", worked_path, "--algo", "progress", "--budget", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "lift budget exhausted after 0 lifts" in err

@@ -1,12 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
 from treelift import game as gamemod
 from treelift.errors import FormatError, UsageError
-from treelift.game import (EVEN, ODD, StrategySubgraph, compress_priorities,
-                           default_strategy, gen_random, gen_worstcase,
+from treelift.game import (EVEN, ODD, ParityGame, StrategySubgraph, compress_priorities,
+                           default_strategy, from_description, gen_random, gen_worstcase,
                            parse_pgsolver, to_mean_payoff, write_pgsolver)
+from treelift.labeling import progress_measure_solve
+from treelift.solver import strategy_iteration_solve
+from treelift.trees import TreeSpec
 
 
 
@@ -124,6 +128,32 @@ def test_strategy_subgraph(worked):
     even_only = parse_pgsolver("0 2 0 1; 1 2 0 0;")
     sub3 = StrategySubgraph(even_only, {})
     assert set(sub3.arcs()) == set(even_only.arcs())
+
+
+def test_game_derives_its_predecessors():
+    # a game built directly, or by dataclasses.replace with new arcs, has the
+    # predecessor lists of the same game built by from_description, and both
+    # solvers treat it as that game
+    spec = TreeSpec.perfect(2, 1)
+    nodes = [(EVEN, 2), (ODD, 1)]
+    swap = from_description(nodes, [(0, 1), (1, 0)])
+    loops = from_description(nodes, [(0, 0), (1, 1)])
+    direct = ParityGame(owners=swap.owners, priorities=swap.priorities, succ=swap.succ,
+                        names=swap.names, orig_ids=swap.orig_ids,
+                        orig_priorities=swap.orig_priorities)
+    replaced = dataclasses.replace(swap, succ=((0,), (1,)))
+    for got, want in ((direct, swap), (replaced, loops)):
+        assert got == want and got.pred == want.pred
+        assert strategy_iteration_solve(got, spec).labeling == \
+            strategy_iteration_solve(want, spec).labeling
+        assert progress_measure_solve(got, spec).labeling == \
+            progress_measure_solve(want, spec).labeling
+    rng = random.Random(23)
+    for _ in range(50):
+        g = gen_random(rng.randint(1, 25), rng.randint(1, 6), 4, seed=rng.randint(0, 10 ** 9))
+        arcs = [(v, rng.randrange(g.n)) for v in range(g.n) for _ in range(rng.randint(1, 3))]
+        want = from_description([(o, p) for o, p in zip(g.owners, g.orig_priorities)], arcs)
+        assert dataclasses.replace(g, succ=want.succ).pred == want.pred
 
 
 def test_strategy_subgraph_switch(worked):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from treelift import trees
-from treelift.errors import LiftBudgetExceeded
+from treelift.errors import LiftBudgetExceeded, UsageError
 from treelift.game import StrategySubgraph, gen_random, parse_pgsolver
 from treelift.labeling import (ArcStatus, NodeLabeling, arc_status, lift_arc,
                                progress_measure_solve)
@@ -140,6 +140,8 @@ def test_progress_measure_budget(worked, p32):
         progress_measure_solve(worked, p32, budget=2)
     assert err.value.lifts == 2
     assert isinstance(err.value.labeling, NodeLabeling)
+    with pytest.raises(UsageError, match="lift budget must be >= 0, got -1"):
+        progress_measure_solve(worked, p32, budget=-1)
 
 
 def test_cycle_lemma_small_games():

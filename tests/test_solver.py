@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -14,7 +15,8 @@ import pytest
 
 from treelift import one_player, solver, trees
 from treelift.errors import InvariantError, UsageError
-from treelift.game import StrategySubgraph, gen_random, parse_pgsolver, write_pgsolver
+from treelift.game import (Region, StrategySubgraph, gen_random, parse_pgsolver,
+                           write_pgsolver)
 from treelift.labeling import NodeLabeling, progress_measure_solve
 from treelift.oracle import (NaiveRace, admissible_arcs, extract_even_strategy,
                              is_feasible, zielonka_solve)
@@ -244,26 +246,40 @@ def test_race_naive_random():
                                      record_phases=False)
 
 
+def _by_arc(tables):
+    """The cost dicts of ``aux_costs`` as one {arc: [cost per chain]}."""
+    costs = {}
+    for table in tables:
+        for arc, cost in table.items():
+            costs.setdefault(arc, []).append(cost)
+    return costs
+
+
 class _WholeGraphRace(one_player.Counters):
     """Re-solves every phase on the whole strategy subgraph with the engine
-    ``lfp`` and checks that the labeling and the auxiliary tables reported
-    for the phase are the ones the whole-graph solve gives."""
+    ``lfp`` and checks that the labeling, and the auxiliary tables merged
+    over the phases as ``--dump-aux`` merges them, are the ones the
+    whole-graph solve gives."""
 
     def __init__(self, lfp):
         super().__init__()
         self.lfp = lfp
-        self.tables = []
+        self.costs = {}
+        self.reported = False
 
-    def aux_costs(self, tables):
-        self.tables = tables
+    def aux_costs(self, sub, tables):
+        self.costs = {arc: cs for arc, cs in self.costs.items() if arc[0] not in sub.inner}
+        self.costs.update(_by_arc(tables))
+        self.reported = True
 
     def phase(self, sub, before, after):
         whole = _Recording()
         assert self.lfp(sub, before, before.spec, whole) == after
         # the label-setting engine reports no tables on either path
-        assert whole.aux == ([self.tables] if whole.aux else []) and \
-            (whole.aux or self.tables == [])
-        self.tables = []
+        assert len(whole.aux) == self.reported
+        if whole.aux:
+            assert _by_arc(whole.aux[0][1]) == self.costs
+        self.reported = False
 
 
 def test_region_phases_equal_whole_graph(monkeypatch):
@@ -336,14 +352,16 @@ class _Recording(one_player.Counters):
     def phase(self, sub, before, after):
         self.phases.append((before, after))
 
-    def aux_costs(self, tables):
-        self.aux.append(tables)
+    def aux_costs(self, sub, tables):
+        self.aux.append((sub, tables))
 
 
 def test_observer_hooks():
     # phase sees every phase's input and output, which are the recorded
     # phase labelings themselves; aux_costs fires once per label-correcting
-    # phase, with or without base nodes, and never on the label-setting engine
+    # phase, with or without base nodes, with the graph the engine solved
+    # (the whole strategy subgraph first), and never on the label-setting
+    # engine
     rng = random.Random(61)
     lc_phases = 0
     for _ in range(15):
@@ -360,15 +378,70 @@ def test_observer_hooks():
             assert all(b is pb and a is pa for (b, a), (pb, pa) in zip(seen.phases, pairs))
             if engine == "lc":
                 assert len(seen.aux) == res.phases
-                assert all(isinstance(costs, dict) for tables in seen.aux for costs in tables)
+                assert type(seen.aux[0][0]) is StrategySubgraph
+                assert all(type(sub) is Region for sub, _ in seen.aux[1:])
+                assert all(isinstance(costs, dict) for _, tables in seen.aux
+                           for costs in tables)
                 lc_phases += res.phases
             else:
                 assert seen.aux == []
     assert lc_phases > 30
 
 
+class _RegionTables(one_player.Counters):
+    """Checks that each phase reports the tables of exactly the components
+    inside the graph the engine solved: the whole-graph engine's tables of
+    those components, in the same order, and no arc whose tail is outside
+    its ``inner`` nodes."""
+
+    def __init__(self):
+        super().__init__()
+        self.region_phases = self.split_phases = 0
+
+    def aux_costs(self, sub, tables):
+        self.reported = (sub, tables)
+
+    def phase(self, sub, before, after):
+        region, tables = self.reported
+        whole = _Recording()
+        one_player.least_fixed_point_lc(sub, before, before.spec, whole)
+        want, rest, sides = [], iter(whole.aux[0][1]), set()
+        for comp in one_player.find_base_nodes(sub).components:
+            inside = {v in region.inner for v in comp}
+            assert len(inside) == 1  # no component straddles R
+            sides |= inside
+            j = sub.priorities[comp[0]] // 2
+            chains = [next(rest) for _ in trees.chain_indices(before.spec, j)]
+            if inside == {True}:
+                want.extend(chains)
+        assert next(rest, None) is None
+        assert tables == want
+        assert all(v in region.inner for table in tables for v, _ in table)
+        self.region_phases += type(region) is Region
+        self.split_phases += sides == {True, False}
+
+
+def test_region_phases_report_only_their_components():
+    # on every phase of a label-correcting solve the engine reports the
+    # tables of the components inside the graph it solved, and only those
+    rng = random.Random(17)
+    seen = _RegionTables()
+    for i in range(30):
+        g = gen_random(rng.randint(8, 30), rng.randint(2, 8), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        h = g.d // 2
+        for cap in (g.n, max(2, g.n // 3)):
+            strahler = TreeSpec.strahler(max(1, min(h, cap.bit_length() - 1)), cap, h)
+            for spec in (TreeSpec.perfect(cap, h), TreeSpec.succinct(cap, h), strahler):
+                for rule in (SwitchFirst(), SwitchRandom(i)):
+                    strategy_iteration_solve(g, spec, rule=rule, engine="lc",
+                                             counters=seen, record_phases=False)
+    assert seen.region_phases > 500 and seen.split_phases > 100
+
+
 def test_one_observer_two_solves():
     # each result counts its own solve's drops; the observer keeps the sum
+    # and no state of the engines
     g = gen_random(30, 6, 3, seed=7)
     specs = (TreeSpec.strahler(2, g.n, 3), TreeSpec.perfect(g.n, 3))
     alone = [strategy_iteration_solve(g, spec).drops for spec in specs]
@@ -376,22 +449,7 @@ def test_one_observer_two_solves():
     both = [strategy_iteration_solve(g, spec, counters=shared).drops for spec in specs]
     assert both == alone and all(alone)
     assert shared.drops == sum(alone) and shared.bf_runs > 0
-    # after a larger game's solve, whose last auxiliary tables name nodes
-    # the smaller game lacks, the observer reports only the new solve's
-    big = gen_random(60, 6, 3, seed=10)
-    shared, alone = _Recording(), _Recording()
-    strategy_iteration_solve(big, TreeSpec.strahler(2, big.n, 3), counters=shared)
-    assert any(comp[0] >= g.n for comp in shared.aux_tables)
-    shared.aux.clear()
-    for seen in (shared, alone):
-        strategy_iteration_solve(g, specs[0], counters=seen)
-    assert shared.aux == alone.aux and len(alone.aux) > 1
-    # the tables are engine state: not compared, and no constructor argument
-    plain = one_player.Counters()
-    strategy_iteration_solve(big, TreeSpec.strahler(2, big.n, 3), counters=plain)
-    assert plain.aux_tables and plain == one_player.Counters(plain.drops, plain.bf_runs)
-    with pytest.raises(TypeError):
-        one_player.Counters(aux_tables={})
+    assert [f.name for f in dataclasses.fields(shared)] == ["drops", "bf_runs"]
 
 
 def test_engine_overrides(worked, p32, s32):
