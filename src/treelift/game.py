@@ -31,7 +31,7 @@ class ParityGame:
 
     owners: tuple       # node -> EVEN | ODD
     priorities: tuple   # node -> int in [1, d]
-    succ: tuple         # node -> sorted tuple of successors (dense ids)
+    succ: tuple         # node -> successors (dense ids), sorted and deduplicated
     names: tuple        # node -> str | None
     orig_ids: tuple     # dense id -> id used in the source file
     orig_priorities: tuple  # node -> priority as given in the source
@@ -39,9 +39,11 @@ class ParityGame:
     pred: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        pred = [[] for _ in self.succ]
-        for v, outs in enumerate(self.succ):
-            for w in set(outs):
+        succ = tuple(tuple(sorted(set(outs))) for outs in self.succ)
+        object.__setattr__(self, "succ", succ)
+        pred = [[] for _ in succ]
+        for v, outs in enumerate(succ):
+            for w in outs:
                 pred[w].append(v)
         object.__setattr__(self, "pred", tuple(map(tuple, pred)))
 
@@ -86,7 +88,7 @@ def _build(owners, priorities, succ, names=None, orig_ids=None, orig_priorities=
     return ParityGame(
         owners=tuple(owners),
         priorities=tuple(priorities),
-        succ=tuple(tuple(sorted(set(s))) for s in succ),
+        succ=succ,
         names=names,
         orig_ids=orig_ids,
         orig_priorities=orig_priorities,
@@ -210,6 +212,9 @@ def default_strategy(game: ParityGame) -> dict:
 
 
 def validate_strategy(game: ParityGame, tau: dict) -> None:
+    for v in tau:
+        if not (isinstance(v, int) and 0 <= v < game.n and game.owners[v] == ODD):
+            raise UsageError(f"strategy has a choice for {v!r}, which is not an odd node")
     for v in game.odd_nodes():
         if v not in tau:
             raise UsageError(f"strategy missing a choice for odd node {v}")

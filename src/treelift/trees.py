@@ -9,7 +9,16 @@ Three tree families are supported:
   ordered by ``0s < empty < 1s`` (extended bitwise).
 * ``strahler``: the Strahler-bounded variant.  A leaf carries exactly ``g``
   nonempty strings, at most ``g + floor(log2 capacity)`` bits in total, and
-  two structural side conditions (see ``_comp_ok``).
+  two structural side conditions.
+
+The two string trees are one mechanism: a prefix state ``(z, b, bad)`` plus
+one step rule, ``_comp_ok``, that says which component may follow a prefix
+and gives the state after it.  Navigation (child lists, least leaves,
+successor subtrees), validation and ``leaf_count`` (memoised per spec) are
+written once over that rule; adding a string tree means adding a rule.  A
+rule sees only a component's length and first bit, so navigation finds the
+next admitted string from those classes in O(log capacity) steps and never
+lists the strings a prefix admits.
 
 A leaf is represented as a tuple of per-component integer *keys* chosen so
 that Python's native tuple comparison realises the tree order.  For binary
@@ -222,18 +231,24 @@ def format_label(spec: TreeSpec, label) -> str:
 
 def _comp_ok(spec: TreeSpec, z: int, b: int, bad: bool, length: int, bits: int,
              t_after: int):
-    """Check one strahler component choice against the running prefix state.
+    """The step rule: the prefix state after one more component, or None if
+    that component may not follow the prefix (invalid or unextendable).
 
-    State: ``z`` nonempty strings so far, ``b`` non-leading bits so far,
-    ``bad`` = the trailing run of nonempty components contains one starting
-    with 1.  ``t_after`` components remain after this choice.  The encoded
-    side conditions: once a prefix has exhausted the non-leading budget while
+    State: ``z`` nonempty strings so far, ``b`` bits spent so far, ``bad`` =
+    the trailing run of nonempty components contains one starting with 1.
+    ``t_after`` components remain after this choice.
+
+    A succinct component only spends bits: the state stays ``(0, b, False)``
+    and the step is valid iff ``b + length <= bits``.
+
+    A strahler component spends its non-leading bits, and two side
+    conditions hold: once a prefix has exhausted the non-leading budget while
     short of g nonempty strings, every further component is exactly "0" until
     the g-th; and a leaf's maximal all-nonempty suffix may only contain
     0-starting strings.
-
-    Returns the new state or None if the choice is invalid/unextendable.
     """
+    if spec.kind == SUCCINCT:
+        return (0, b + length, False) if b + length <= spec.bits else None
     g, B = spec.strahler_g, spec.bits
     if length == 0:
         if z < g and b == B:
@@ -256,22 +271,18 @@ def _comp_ok(spec: TreeSpec, z: int, b: int, bad: bool, length: int, bits: int,
     return z + 1, b + nl, newbad
 
 
-def _strahler_state(spec: TreeSpec, prefix) -> tuple[int, int, bool]:
-    """State (z, b, bad) after a valid prefix; raises if the prefix is not a
-    vertex of the tree."""
+@lru_cache(maxsize=1 << 17)
+def _state(spec: TreeSpec, prefix: tuple) -> tuple[int, int, bool]:
+    """State (z, b, bad) of a string tree after ``prefix``; raises if the
+    prefix is not a vertex of the tree."""
     z, b, bad = 0, 0, False
     rest = spec.height - 1
     for idx, key in enumerate(prefix):
-        length, bits = _sdecode(spec, key)
-        st = _comp_ok(spec, z, b, bad, length, bits, rest - idx)
+        st = _comp_ok(spec, z, b, bad, *_sdecode(spec, key), rest - idx)
         if st is None:
             raise UsageError("prefix is not a vertex of this tree")
         z, b, bad = st
     return z, b, bad
-
-
-def _string_bits_used(spec: TreeSpec, prefix) -> int:
-    return sum(_sdecode(spec, key)[0] for key in prefix)
 
 
 def validate_label(spec: TreeSpec, label) -> None:
@@ -286,7 +297,6 @@ def validate_label(spec: TreeSpec, label) -> None:
                 raise UsageError(f"perfect component {c!r} out of range")
         return
     maxlen = spec.max_complen
-    total = 0
     for key in label:
         if not isinstance(key, int):
             raise UsageError("string components must be encoded keys")
@@ -295,12 +305,7 @@ def validate_label(spec: TreeSpec, label) -> None:
             raise UsageError(f"component key {key} does not decode to a string")
         if _skey(spec, length, bits) != key:
             raise UsageError(f"component key {key} is not canonical")
-        total += length
-    if spec.kind == SUCCINCT:
-        if total > spec.bits:
-            raise UsageError(f"leaf uses {total} bits, budget is {spec.bits}")
-        return
-    _strahler_state(spec, label)  # runs the full structural check
+    _state(spec, label)  # every step of a leaf obeys the step rule
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +349,65 @@ def _ordered_lenbits(maxlen: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _strahler_children(spec: TreeSpec, z: int, b: int, bad: bool,
-                       t_after: int) -> tuple:
-    """Ordered component keys available at a strahler vertex state."""
-    out = []
-    for length, bits in _ordered_lenbits(min(spec.max_complen, spec.bits - b + 1)):
-        if _comp_ok(spec, z, b, bad, length, bits, t_after) is not None:
-            out.append(_skey(spec, length, bits))
-    return tuple(out)
+def _rule(spec: TreeSpec, state: tuple, t_after: int) -> tuple:
+    """The step rule at one prefix state, by string class: whether the empty
+    string may follow, then for first bit 0 and for first bit 1 a mask with
+    bit m set iff the strings of length m may.  The rule sees only a string's
+    length and first bit, so these decide every string without listing any."""
+    masks = [0, 0]
+    for m in range(1, spec.max_complen + 1):
+        for first in (0, 1):
+            if _comp_ok(spec, *state, m, first << (m - 1), t_after) is not None:
+                masks[first] |= 1 << m
+    return _comp_ok(spec, *state, 0, 0, t_after) is not None, masks[0], masks[1]
+
+
+def _admits(rule: tuple, length: int, bits: int) -> bool:
+    return rule[0] if not length else bool(rule[1 + (bits >> (length - 1))] >> length & 1)
+
+
+def _least_from(rule: tuple, length: int, bits: int):
+    """Least admitted string among a nonempty string and its extensions: the
+    string padded with 0s up to the longest admitted length, or None."""
+    top = rule[1 + (bits >> (length - 1))].bit_length() - 1
+    return (top, bits << (top - length)) if top >= length else None
+
+
+def _next_string(rule: tuple, length: int, bits: int):
+    """Least admitted string after (length, bits) in the order 0s < empty < 1s:
+    the least one extending s1, else, going up from each 0 bit of s, the prefix
+    before that bit or the least string extending that prefix and a 1."""
+    nxt = _least_from(rule, length + 1, (bits << 1) | 1)
+    while nxt is None and length:
+        length, last, bits = length - 1, bits & 1, bits >> 1
+        if last:
+            continue  # s extends the prefix by a 1: the prefix comes before s
+        if _admits(rule, length, bits):
+            return length, bits
+        nxt = _least_from(rule, length + 1, (bits << 1) | 1)
+    return nxt
+
+
+def _next_key(spec: TreeSpec, state: tuple, t_after: int, key):
+    """Least component key > ``key`` (the least key if ``key`` is None) that
+    may follow a string-tree prefix state; None if there is none."""
+    rule = _rule(spec, state, t_after)
+    if key is None:  # the least string starting with 0, else the least after "0"
+        s = _least_from(rule, 1, 0) or _next_string(rule, 1, 0)
+    else:
+        s = _next_string(rule, *_sdecode(spec, key))
+    return None if s is None else _skey(spec, *s)
+
+
+@lru_cache(maxsize=None)
+def _first_keys(spec: TreeSpec, state: tuple, rest: int) -> tuple:
+    """The least completion of a string-tree prefix state: its first child,
+    then that child's first child, down ``rest`` levels."""
+    if not rest:
+        return ()
+    key = _next_key(spec, state, rest - 1, None)
+    st = _comp_ok(spec, *state, *_sdecode(spec, key), rest - 1)
+    return (key,) + _first_keys(spec, st, rest - 1)
 
 
 def child_components(spec: TreeSpec, prefix) -> list:
@@ -361,88 +417,36 @@ def child_components(spec: TreeSpec, prefix) -> list:
         raise UsageError("prefix is already a leaf")
     if spec.kind == PERFECT:
         return list(range(spec.capacity))
-    if spec.kind == SUCCINCT:
-        budget = spec.bits - _string_bits_used(spec, prefix)
-        if budget < 0:
-            raise UsageError("prefix is not a vertex of this tree")
-        return [_skey(spec, L, bb) for L, bb in _ordered_lenbits(budget)]
-    z, b, bad = _strahler_state(spec, prefix)
-    kids = _strahler_children(spec, z, b, bad, spec.height - depth - 1)
-    if not kids:
-        raise UsageError("prefix is not a vertex of this tree")
-    return list(kids)
+    state, t_after = _state(spec, tuple(prefix)), spec.height - depth - 1
+    out = [_next_key(spec, state, t_after, None)]
+    while out[-1] is not None:
+        out.append(_next_key(spec, state, t_after, out[-1]))
+    return out[:-1]
 
 
 def min_leaf_below(spec: TreeSpec, prefix) -> tuple:
     """Smallest leaf of the subtree rooted at ``prefix``."""
-    depth = len(prefix)
-    if depth > spec.height:
+    prefix = tuple(prefix)
+    rest = spec.height - len(prefix)
+    if rest < 0:
         raise UsageError("prefix longer than tree height")
-    rest = spec.height - depth
     if spec.kind == PERFECT:
         for c in prefix:
             if not 0 <= c < spec.capacity:
                 raise UsageError("prefix is not a vertex of this tree")
-        return tuple(prefix) + (0,) * rest
-    if spec.kind == SUCCINCT:
-        budget = spec.bits - _string_bits_used(spec, prefix)
-        if budget < 0:
-            raise UsageError("prefix is not a vertex of this tree")
-        if rest == 0:
-            return tuple(prefix)
-        head = _skey(spec, budget, 0)  # all-zeros string takes every spare bit
-        return tuple(prefix) + (head,) + (_EPS_KEY,) * (rest - 1)
-    z, b, bad = _strahler_state(spec, prefix)
-    g = spec.strahler_g
-    if g - z > rest or (bad and g - z == rest):
-        raise UsageError("prefix is not a vertex of this tree")
-    comps = []
-    for idx in range(rest):
-        if z < g:
-            length = 1 + (spec.bits - b)
-            comps.append(_skey(spec, length, 0))
-            z, b = z + 1, spec.bits
-        else:
-            comps.append(_EPS_KEY)
-    return tuple(prefix) + tuple(comps)
+        return prefix + (0,) * rest
+    return prefix + _first_keys(spec, _state(spec, prefix), rest)
 
 
 def min_leaf(spec: TreeSpec) -> tuple:
     return min_leaf_below(spec, ())
 
 
-def _succ_next_component(length: int, bits: int, budget: int):
-    """Successor of a string among strings of at most ``budget`` bits.
-
-    Either the minimal right-extension ``s 1 0...0`` (if there is room) or the
-    longest prefix cut just before a 0-bit that still fits the budget.
-    """
-    if length < budget:
-        ext = (bits << (budget - length)) | (1 << (budget - length - 1))
-        return budget, ext
-    inv = ~bits & ((1 << length) - 1) if length else 0
-    while inv:
-        low = inv & -inv
-        zero_pos = length - low.bit_length() + 1  # 1-based index of a 0-bit
-        if zero_pos - 1 <= budget:
-            return zero_pos - 1, bits >> (length - zero_pos + 1)
-        inv &= inv - 1  # that cut is too long; try an earlier 0-bit
-    return None
-
-
 def _next_sibling_key(spec: TreeSpec, prefix, key: int, t_after: int):
     """Smallest component key > ``key`` available at the parent ``prefix``."""
     if spec.kind == PERFECT:
         return key + 1 if key + 1 < spec.capacity else None
-    if spec.kind == SUCCINCT:
-        budget = spec.bits - _string_bits_used(spec, prefix)
-        length, bits = _sdecode(spec, key)
-        nxt = _succ_next_component(length, bits, budget)
-        return _skey(spec, *nxt) if nxt else None
-    z, b, bad = _strahler_state(spec, prefix)
-    kids = _strahler_children(spec, z, b, bad, t_after)
-    pos = bisect_right(kids, key)
-    return kids[pos] if pos < len(kids) else None
+    return _next_key(spec, _state(spec, prefix), t_after, key)
 
 
 def next_subtree_min(spec: TreeSpec, prefix):
@@ -544,12 +548,9 @@ def floor_leaf(spec: TreeSpec, leaf, j: int):
 def _raise_self_ok(spec: TreeSpec, leaf, i: int, j: int, k: int) -> bool:
     """Does ``leaf`` (already the minimum of its own depth-(h-j) subtree)
     sit at chain k with at least i spare bits?"""
-    prefix = leaf[: spec.height - j]
     if spec.kind == PERFECT:
         return i == 0
-    if spec.kind == SUCCINCT:
-        return spec.bits - _string_bits_used(spec, prefix) >= i
-    z, b, _ = _strahler_state(spec, prefix)
+    z, b, _ = _state(spec, leaf[: spec.height - j])
     return z == spec.strahler_g - k and spec.bits - b >= i
 
 
@@ -559,7 +560,7 @@ def _strahler_raise_completion(spec: TreeSpec, vertex, comp_key: int, i: int,
     depth-(h-j) root reserving i non-leading bits, then that subtree's
     minimum.  Returns None if the assembled tuple is not a valid leaf."""
     g, B, h = spec.strahler_g, spec.bits, spec.height
-    z, b, _ = _strahler_state(spec, vertex)
+    z, b, _ = _state(spec, vertex)
     clen, cbits = _sdecode(spec, comp_key)
     if clen:
         z, b = z + 1, b + clen - 1
@@ -627,31 +628,19 @@ def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
     if spec.kind == SUCCINCT:
         for idx in range(h - j - 1, -1, -1):
             vertex = leaf[:idx]
-            budget = spec.bits - i - _string_bits_used(spec, vertex)
-            if budget < 0:
-                continue
-            length, bits = _sdecode(spec, leaf[idx])
-            nxt = _succ_next_component(length, bits, budget)
-            if nxt is None:
-                continue
-            new_prefix = vertex + (_skey(spec, *nxt),)
-            spare = spec.bits - i - _string_bits_used(spec, new_prefix)
-            parts: list[int] = []
-            if idx + 1 < h - j:
-                parts.append(_skey(spec, spare, 0))
-                parts.extend([_EPS_KEY] * (h - j - idx - 2))
-                reserved = i
-            else:
-                reserved = i + spare
-            tail = [_skey(spec, reserved, 0)] + [_EPS_KEY] * (j - 1)
-            return new_prefix + tuple(parts) + tuple(tail)
+            state = (0, _state(spec, vertex)[1] + i, False)  # i bits kept for the subtree
+            nxt = _next_key(spec, state, h - idx - 1, leaf[idx])
+            if nxt is not None:  # least way down to the subtree, keeping the i bits
+                state = _comp_ok(spec, *state, *_sdecode(spec, nxt), h - idx - 1)
+                return min_leaf_below(
+                    spec, vertex + (nxt,) + _first_keys(spec, state, h - j - idx - 1))
         return TOP
 
     # strahler: scan candidate siblings at each level, lowest level first
     g = spec.strahler_g
     for idx in range(h - j - 1, -1, -1):
         vertex = leaf[:idx]
-        z, b, bad = _strahler_state(spec, vertex)
+        z, b, bad = _state(spec, vertex)
         between = (h - j) - idx - 1
         nl_cap = spec.bits - i - b
         if nl_cap < 0:
@@ -674,43 +663,28 @@ def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def leaf_count(spec: TreeSpec) -> int:
-    """Exact number of leaves (arbitrary precision)."""
+    """Exact number of leaves (arbitrary precision), memoised per spec."""
     if spec.kind == PERFECT:
         return spec.capacity ** spec.height
-    if spec.kind == SUCCINCT:
-
-        @lru_cache(maxsize=None)
-        def count(levels, budget):
-            if levels == 0:
-                return 1
-            return sum((1 << b) * count(levels - 1, budget - b)
-                       for b in range(budget + 1))
-
-        return count(spec.height, spec.bits)
-
-    g, B = spec.strahler_g, spec.bits
+    # the step rule sees only a string's length and first bit: one class of
+    # 2**(m-1) strings per (length m, first bit), plus the empty string
+    classes = [(1, 0, 0)] + [(1 << (m - 1), m, first << (m - 1))
+                             for m in range(1, spec.max_complen + 1) for first in (0, 1)]
 
     @lru_cache(maxsize=None)
-    def count(levels, z, b, bad):
+    def count(levels, state):
         if levels == 0:
-            return 1 if z == g and not bad else 0
+            return 1
         total = 0
-        if _comp_ok(spec, z, b, bad, 0, 0, levels - 1) is not None:
-            total += count(levels - 1, z, b, False)
-        for m in range(1, min(spec.max_complen, B - b + 1) + 1):
-            if z + 1 > g:
-                break
-            half = 1 << (m - 1)
-            st = _comp_ok(spec, z, b, bad, m, 0, levels - 1)
+        for size, length, bits in classes:
+            st = _comp_ok(spec, *state, length, bits, levels - 1)
             if st is not None:
-                total += half * count(levels - 1, z + 1, b + m - 1, bad)
-            st = _comp_ok(spec, z, b, bad, m, half, levels - 1)
-            if st is not None:
-                total += half * count(levels - 1, z + 1, b + m - 1, True)
+                total += size * count(levels - 1, st)
         return total
 
-    return count(spec.height, 0, 0, False)
+    return count(spec.height, (0, 0, False))
 
 
 def iter_leaves(spec: TreeSpec):

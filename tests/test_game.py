@@ -156,6 +156,40 @@ def test_game_derives_its_predecessors():
         assert dataclasses.replace(g, succ=want.succ).pred == want.pred
 
 
+def test_game_normalises_its_successors():
+    # a game built directly with unsorted or repeated arcs is the game that
+    # from_description builds: Even's strategy is the tight arc of lowest
+    # head, and a repeated arc is one arc
+    def direct(owners, priorities, succ):
+        n = len(owners)
+        return ParityGame(owners=owners, priorities=priorities, succ=succ,
+                          names=(None,) * n, orig_ids=tuple(range(n)),
+                          orig_priorities=priorities)
+
+    unsorted = direct((EVEN,) * 3, (2,) * 3, ((2, 1), (1,), (2,)))
+    want = from_description([(EVEN, 2)] * 3, [(0, 1), (0, 2), (1, 1), (2, 2)])
+    assert unsorted == want and unsorted.succ == ((1, 2), (1,), (2,))
+    spec = TreeSpec.perfect(2, 1)
+    assert strategy_iteration_solve(unsorted, spec).even_strategy == \
+        strategy_iteration_solve(want, spec).even_strategy == {0: 1, 1: 1, 2: 2}
+    repeated = direct((EVEN, ODD), (2, 1), ((1, 1), (0,)))
+    assert repeated.succ == ((1,), (0,)) and repeated.m == 2
+    assert repeated.pred == ((1,), (0,))
+    assert repeated == from_description([(EVEN, 2), (ODD, 1)], [(0, 1), (0, 1), (1, 0)])
+
+
+def test_strategy_rejects_stray_keys():
+    g = gen_random(6, 4, 2, 3)
+    tau = default_strategy(g)
+    even = next(v for v in range(g.n) if g.owners[v] == EVEN)
+    for stray in ({even: g.succ[even][0]}, {99: 0}, {-1: 0}, {"0": 0}):
+        with pytest.raises(UsageError, match="not an odd node"):
+            StrategySubgraph(g, {**tau, **stray})
+        with pytest.raises(UsageError, match="not an odd node"):
+            strategy_iteration_solve(g, TreeSpec.perfect(g.n, 2), tau1={**tau, **stray})
+    StrategySubgraph(g, tau)
+
+
 def test_strategy_subgraph_switch(worked):
     # the patched subgraph is the one built from scratch for the new strategy
     rng = random.Random(8)

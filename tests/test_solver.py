@@ -213,6 +213,23 @@ def test_winners_match_zielonka_smoke():
         assert frozenset(res.even_wins) == part.even_wins
 
 
+def test_succinct_tree_of_capacity_2_to_the_30():
+    # navigation finds each next string from its (length, first bit) class, so
+    # a 30-bit budget costs what a small one does: no list of 2**31 strings
+    rng = random.Random(30)
+    for _ in range(5):
+        g = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        spec = TreeSpec.succinct(2 ** 30, g.d // 2)
+        res = strategy_iteration_solve(g, spec, record_phases=False)
+        assert frozenset(res.even_wins) == zielonka_solve(g).even_wins
+    spec = TreeSpec.succinct(2 ** 30, 2)
+    least = LF(spec, ["0" * 30, ""])
+    assert trees.min_leaf(spec) == least
+    assert trees.next_subtree_min(spec, least[:1]) == LF(spec, ["0" * 29, "0"])
+    assert trees.raise_leaf(spec, least, 2, 1, 0) == LF(spec, ["0" * 28, "00"])
+
+
 def test_race_naive_flag(worked, p32):
     res = strategy_iteration_solve(worked, p32, tau1=WORKED_TAU, counters=NaiveRace())
     assert res.even_wins == (C, D, E)

@@ -213,10 +213,36 @@ def test_leaf_count(p32, s32, s72):
 
 
 def test_leaf_count_matches_enumeration():
-    for spec in (TreeSpec.succinct(6, 3), TreeSpec.strahler(2, 8, 3),
-                 TreeSpec.strahler(1, 5, 2)):
-        assert leaf_count(spec) == len(list(trees.iter_leaves(spec)))
-        assert leaf_count(spec) == len(all_leaves(spec))
+    # every succinct tree and every strahler tree with 0 <= g <= h (g = 0 and
+    # capacity 1 are chain-member value domains) up to capacity 16, height 3:
+    # counts, leaf order and navigation against the independent enumeration
+    specs = prefixes = 0
+    for h in range(1, 4):
+        for cap in range(1, 17):
+            for spec in [TreeSpec.succinct(cap, h)] + [
+                    TreeSpec(trees.STRAHLER, cap, h, g) for g in range(h + 1)]:
+                leaves = list(trees.iter_leaves(spec))
+                assert [trees.components_of(spec, leaf) for leaf in leaves] == \
+                    list(all_leaves(spec))
+                assert leaf_count(spec) == len(leaves) == len(all_leaves(spec))
+                for depth in range(h + 1):
+                    runs = {}  # prefix -> [first index, last index, leaves]
+                    for idx, leaf in enumerate(leaves):
+                        run = runs.setdefault(leaf[:depth], [idx, idx, 0])
+                        run[1] = idx
+                        run[2] += 1
+                    for pre, (first, last, size) in runs.items():
+                        assert last - first + 1 == size  # a subtree's leaves are contiguous
+                        assert min_leaf_below(spec, pre) == leaves[first]
+                        assert trees.next_subtree_min(spec, pre) == \
+                            (leaves[last + 1] if last + 1 < len(leaves) else TOP)
+                        if depth < h:
+                            below = leaves[first:last + 1]
+                            assert trees.child_components(spec, pre) == \
+                                list(dict.fromkeys(leaf[depth] for leaf in below))
+                    prefixes += len(runs)
+                specs += 1
+    assert (specs, prefixes) == (192, 16302)
 
 
 def test_chain_info(p32, s72):
