@@ -9,10 +9,15 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
   cycle.  The auxiliary digraph's components are the base nodes' own
   components, read off the base-node report.  Costs are chain positions, so
   the bottleneck search takes one SCC pass per distinct cost, at most
-  L = floor(log2 capacity) + 1 of them.  Each cycle's width search runs on
-  J_w, a view of the in-arc table that w's component builds once for all
-  its base nodes.  A worklist Bellman-Ford then drops all labels to the
-  fixed point.
+  L = floor(log2 capacity) + 1 of them, each adding that cost's arcs to the
+  adjacency of the pass before.  Each cycle's width search runs on J_w, a
+  view of the in-arc table that w's component builds once for all its base
+  nodes, and probes the chain's member trees, which ``trees.chain_members``
+  builds once per spec with their least leaves.  A probe starts its worklist
+  at w alone and enters the nodes it made finite into the threshold table,
+  so it costs its relaxations, one copy of J_w's all-TOP labels and one
+  visit per node it made finite.  A worklist Bellman-Ford then drops all
+  labels to the fixed point.
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
 
@@ -39,7 +44,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import inf
+from operator import itemgetter
 
 from . import trees
 from .errors import InvariantError, UsageError
@@ -193,7 +200,8 @@ class BaseNodeReport:
     arcs (those between its nodes that enter no other top) by head:
     {head: ((tail, pi(tail)), ...)}, heads and each head's tails in
     increasing order.  Those tuples are the component's in-arc table's own,
-    shared by all its base nodes."""
+    shared by all its base nodes.  ``k_succ[w]`` lists w's successors inside
+    ``k_comp[w]``, in successor order."""
 
     base_nodes: tuple
     k_comp: dict = field(compare=False)
@@ -201,6 +209,7 @@ class BaseNodeReport:
     j_in: dict = field(compare=False)
     j_tops: dict = field(compare=False)
     components: tuple = field(compare=False)
+    k_succ: dict = field(compare=False)
 
 
 def _base_components(nodes, succ, priorities):
@@ -224,11 +233,12 @@ def find_base_nodes(sub) -> BaseNodeReport:
 
     The base nodes of one component are its tops; its member set, top set
     and in-arc table are built once, and each J_w is the reverse search from
-    w over that table that does not expand the other tops."""
-    prio, pred = sub.priorities, sub.pred
-    k_comp, j_nodes, j_in, j_tops = {}, {}, {}, {}
+    w over that table that does not expand the other tops, collecting the
+    tops it meets."""
+    prio, pred, succ = sub.priorities, sub.pred, sub.succ
+    k_comp, j_nodes, j_in, j_tops, k_succ = {}, {}, {}, {}, {}
     shared = {}  # id(K) -> (members, tops, in-arc table, base nodes)
-    for w, K in _base_components(sub.nodes, sub.succ, prio).items():
+    for w, K in _base_components(sub.nodes, succ, prio).items():
         if id(K) not in shared:
             members = frozenset(K)
             shared[id(K)] = (members, frozenset(v for v in K if prio[v] == prio[w]),
@@ -236,19 +246,22 @@ def find_base_nodes(sub) -> BaseNodeReport:
                               for x in K}, [])
         members, tops, table, group = shared[id(K)]
         group.append(w)
-        reach, stack = {w}, [w]
+        reach, stack, met = {w}, [w], [w]
         while stack:
             for u, _ in table[stack.pop()]:
                 if u not in reach:
                     reach.add(u)
-                    if u not in tops:  # another top joins J_w, its in-arcs do not
+                    if u in tops:  # another top joins J_w, its in-arcs do not
+                        met.append(u)
+                    else:
                         stack.append(u)
         k_comp[w] = members
+        k_succ[w] = [x for x in succ[w] if x in members]
         j_nodes[w] = frozenset(reach)
-        j_tops[w] = tops & j_nodes[w]
+        j_tops[w] = frozenset(met)
         j_in[w] = {x: table[x] for x in sorted(reach) if x == w or x not in tops}
     components = tuple(sorted(tuple(group) for *_, group in shared.values()))
-    return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops, components)
+    return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops, components, k_succ)
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +269,20 @@ def find_base_nodes(sub) -> BaseNodeReport:
 # ---------------------------------------------------------------------------
 
 
-def _bf(values, in_arcs, spec, counters):
+def _bf(values, in_arcs, spec, counters, heads):
     """Drop tail labels over the arcs ``in_arcs`` lists ({head: [(tail,
     priority of tail), ...]}, heads and tails in increasing order) to the
     greatest fixed point below ``values`` (mutated) with a round-based
-    FIFO worklist: round one examines the in-arcs of every non-TOP head in
-    increasing order, each later round only the in-arcs of the tails that
-    dropped in the round before, in first-drop order.  Drop is monotone in
-    the head label, so any fair order reaches the fixed point of the
-    fixed-order sweep over every arc.  Every write strictly lowers a label in
-    a finite tree, so the frontier empties.  Each call counts one run in
-    ``counters.bf_runs``."""
+    FIFO worklist: round one examines the in-arcs of ``heads``, which must
+    be every head whose label is not TOP, in increasing order; each later
+    round only the in-arcs of the tails that dropped in the round before, in
+    first-drop order.  Drop is monotone in the head label, so any fair order
+    reaches the fixed point of the fixed-order sweep over every arc.  Every
+    write strictly lowers a label in a finite tree, so the frontier empties.
+    Each call counts one run in ``counters.bf_runs``.  Returns the nodes
+    whose labels dropped, each once, in first-drop order."""
     counters.bf_runs += 1
-    frontier = [w for w in in_arcs if values[w] is not TOP]
+    frontier, lowered = heads, {}
     drops = 0
     while frontier:
         dropped = {}
@@ -276,14 +290,17 @@ def _bf(values, in_arcs, spec, counters):
             head = values[w]
             for v, p in in_arcs.get(w, ()):
                 t = tighten_target(spec, head, p)
-                if t < values[v]:
+                cur = values[v]
+                # TOP's comparisons are Python calls: TOP is decided by identity
+                if t is not TOP and (cur is TOP or t < cur):
                     values[v] = t
                     dropped[v] = None
                     drops += 1
         counters.bf_round(values)
+        lowered.update(dropped)
         frontier = dropped
     counters.drops += drops
-    return values
+    return lowered
 
 
 def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
@@ -291,8 +308,10 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
     below ``labeling`` with the worklist of ``_bf``: each round examines only
     the in-arcs of the labels that dropped in the round before."""
     out, prio = labeling.copy(), sub.priorities
+    values = out.values
     in_arcs = {x: [(u, prio[u]) for u in sub.pred[x]] for x in sub.nodes}
-    _bf(out.values, in_arcs, out.spec, counters or Counters())
+    _bf(values, in_arcs, out.spec, counters or Counters(),
+        [x for x in in_arcs if values[x] is not TOP])
     return out
 
 
@@ -301,41 +320,47 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
 # ---------------------------------------------------------------------------
 
 
-def _pinned_bf(report, w, domain, counters):
-    """Bellman-Ford on J_w in the tree ``domain``: every node starts at TOP
-    except w, pinned to the minimum leaf.  Returns the labels."""
-    values = dict.fromkeys(report.j_nodes[w], TOP)
-    values[w] = trees.min_leaf(domain)
-    return _bf(values, report.j_in[w], domain, counters)
+def _probe(values, report, w, member, counters):
+    """Bellman-Ford on J_w in a chain member tree, given as (member spec,
+    least leaf): ``values`` (mutated) holds J_w's nodes at TOP, w is pinned to
+    the least leaf and is the only head of round one.  Returns the nodes that
+    turned finite."""
+    domain, least = member
+    values[w] = least
+    return _bf(values, report.j_in[w], domain, counters, (w,))
 
 
-def _thresholds(report, w, j, k, spec, counters):
+def _thresholds(report, w, members, counters):
     """Per node u of J_w, the smallest chain position i whose member tree
     admits a finite drop fixed point at u when w is pinned to that member's
-    minimum leaf; INF when even the largest member fails.
+    least leaf; INF when even the largest member fails.  ``members`` is the
+    chain, as ``trees.chain_members`` gives it.
 
     Members are probed in increasing order until every node is finite, so
     the number of Bellman-Ford probes is one more than the largest finite
-    threshold (the whole chain length when some threshold is INF)."""
-    out = dict.fromkeys(report.j_nodes[w], INF)
-    for i in range(trees.chain_length(spec, j, k)):
-        domain = trees.chain_member_spec(spec, j, k, i)
-        for u, label in _pinned_bf(report, w, domain, counters).items():
-            if label is not TOP and out[u] is INF:
+    threshold (the whole chain length when some threshold is INF).  Each
+    probe enters the nodes it made finite that have no threshold yet."""
+    nodes = report.j_nodes[w]
+    tops = dict.fromkeys(nodes, TOP)
+    out = {w: 0}  # pinned to the least leaf, w is finite from the first probe and never drops
+    for i, member in enumerate(members):
+        for u in _probe(tops.copy(), report, w, member, counters):
+            if u not in out:
                 out[u] = i
-        if INF not in out.values():
-            break
-    return out
+        if len(out) == len(nodes):
+            return out
+    return dict.fromkeys(nodes, INF) | out
 
 
-def _arc_costs(sub, report, w, theta):
+def _arc_costs(report, w, theta):
     """The auxiliary arcs (v, w) for the tops v of J_w (w itself only when it
     keeps an out-arc there), each costing the least ``theta`` over v's
-    out-neighbours in J_w: its successors there that are w or not a top."""
-    nodes, tops = report.j_nodes[w], report.j_tops[w]
+    out-neighbours in J_w: its successors in K that are in J_w and are w or
+    not a top."""
+    nodes, tops, k_succ = report.j_nodes[w], report.j_tops[w], report.k_succ
     costs = {}
     for v in sorted(tops):
-        outs = [x for x in sub.succ[v] if x in nodes and (x == w or x not in tops)]
+        outs = [x for x in k_succ[v] if x in nodes and (x == w or x not in tops)]
         if v != w or outs:
             costs[(v, w)] = min(map(theta, outs), default=INF)
     return costs
@@ -346,10 +371,11 @@ def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
     threshold search of the label-correcting algorithm.  Satisfies the
     width-bracketing bounds by construction."""
     counters = counters or Counters()
+    members = trees.chain_members(spec, j, k)
     costs = {}
     for w in comp:
-        theta = _thresholds(report, w, j, k, spec, counters)
-        costs.update(_arc_costs(sub, report, w, theta.__getitem__))
+        theta = _thresholds(report, w, members, counters)
+        costs.update(_arc_costs(report, w, theta.__getitem__))
     return costs
 
 
@@ -360,10 +386,11 @@ def arc_costs_succinct(sub, report, w, spec, counters=None):
     if spec.kind != trees.SUCCINCT:
         raise UsageError("arc_costs_succinct requires a succinct tree spec")
     B = spec.bits
-    domain = trees.chain_member_spec(spec, sub.priorities[w] // 2, 0, B)
-    values = _pinned_bf(report, w, domain, counters or Counters())
-    return _arc_costs(sub, report, w, lambda u: INF if values[u] is TOP
-                      else B - trees.zeta(domain, values[u]))
+    member = trees.chain_members(spec, sub.priorities[w] // 2, 0)[B]
+    values = dict.fromkeys(report.j_nodes[w], TOP)
+    _probe(values, report, w, member, counters or Counters())
+    return _arc_costs(report, w, lambda u: INF if values[u] is TOP
+                      else B - trees.zeta(member[0], values[u]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +404,24 @@ def min_bottleneck_cycle_costs(comp, costs):
 
     One SCC pass per distinct finite cost c, in increasing order, over the
     arcs costing at most c: the nodes of its cyclic SCCs that have no value
-    yet get c.  Costs are chain positions, so there are at most
-    floor(log2 capacity) + 1 passes."""
-    result = dict.fromkeys(comp, INF)
-    for c in sorted({c for c in costs.values() if c != INF}):
-        adj = {v: [] for v in comp}
-        for (v, w), cost in costs.items():
-            if cost <= c:
-                adj[v].append(w)
+    yet get c.  The arcs are sorted by cost once, and each pass first adds
+    the arcs costing c to the adjacency of the pass before; the passes stop
+    at the INF arcs or once every node has a value.  Costs are chain
+    positions, so there are at most floor(log2 capacity) + 1 passes."""
+    result, left = dict.fromkeys(comp, INF), len(comp)
+    adj = {v: [] for v in comp}
+    for c, arcs in groupby(sorted(costs.items(), key=itemgetter(1)), key=itemgetter(1)):
+        if c == INF:
+            break
+        for (v, w), _ in arcs:
+            adj[v].append(w)
         for K, cyclic in strongly_connected(comp, adj):
             if cyclic:
                 for v in K:
                     if result[v] is INF:
                         result[v] = c
-        if INF not in result.values():
+                        left -= 1
+        if not left:
             break
     return result
 

@@ -18,7 +18,12 @@ successor subtrees), validation and ``leaf_count`` (memoised per spec) are
 written once over that rule; adding a string tree means adding a rule.  A
 rule sees only a component's length and first bit, so navigation finds the
 next admitted string from those classes in O(log capacity) steps and never
-lists the strings a prefix admits.
+lists the strings a prefix admits.  Nothing in it recurses per tree level or
+builds a list that grows with the capacity: least completions and leaf
+counts loop level by level, and a Strahler raise steps through candidate
+strings with the same successor, dropping the class of a failed candidate.
+``chain_members`` gives a chain's member trees with their least leaves,
+memoised per spec like ``leaf_count``.
 
 A leaf is represented as a tuple of per-component integer *keys* chosen so
 that Python's native tuple comparison realises the tree order.  For binary
@@ -32,7 +37,6 @@ and the value types immutable, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -332,23 +336,6 @@ def truncate(spec: TreeSpec, label, p: int):
 
 
 @lru_cache(maxsize=None)
-def _ordered_lenbits(maxlen: int) -> tuple:
-    """All binary strings with at most ``maxlen`` bits as (length, bits),
-    listed in the string order 0s < empty < 1s."""
-    out = []
-
-    def rec(length, bits, budget):
-        if budget:
-            rec(length + 1, bits << 1, budget - 1)
-        out.append((length, bits))
-        if budget:
-            rec(length + 1, (bits << 1) | 1, budget - 1)
-
-    rec(0, 0, maxlen)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _rule(spec: TreeSpec, state: tuple, t_after: int) -> tuple:
     """The step rule at one prefix state, by string class: whether the empty
     string may follow, then for first bit 0 and for first bit 1 a mask with
@@ -403,11 +390,12 @@ def _next_key(spec: TreeSpec, state: tuple, t_after: int, key):
 def _first_keys(spec: TreeSpec, state: tuple, rest: int) -> tuple:
     """The least completion of a string-tree prefix state: its first child,
     then that child's first child, down ``rest`` levels."""
-    if not rest:
-        return ()
-    key = _next_key(spec, state, rest - 1, None)
-    st = _comp_ok(spec, *state, *_sdecode(spec, key), rest - 1)
-    return (key,) + _first_keys(spec, st, rest - 1)
+    keys = []
+    for t_after in range(rest - 1, -1, -1):
+        key = _next_key(spec, state, t_after, None)
+        state = _comp_ok(spec, *state, *_sdecode(spec, key), t_after)
+        keys.append(key)
+    return tuple(keys)
 
 
 def child_components(spec: TreeSpec, prefix) -> list:
@@ -536,6 +524,14 @@ def chain_member_spec(spec: TreeSpec, j: int, k: int, i: int) -> TreeSpec:
     return TreeSpec(STRAHLER, 1 << i, j, k)
 
 
+@lru_cache(maxsize=None)
+def chain_members(spec: TreeSpec, j: int, k: int) -> tuple:
+    """Chain k at height j, memoised per spec: for each position i, the
+    member tree ``chain_member_spec(spec, j, k, i)`` and its least leaf."""
+    members = (chain_member_spec(spec, j, k, i) for i in range(chain_length(spec, j, k)))
+    return tuple((member, min_leaf(member)) for member in members)
+
+
 def floor_leaf(spec: TreeSpec, leaf, j: int):
     """``leaf`` when it is the minimum of its own depth-(h-j) subtree,
     otherwise the minimum of the next such subtree (TOP if there is none)."""
@@ -636,25 +632,31 @@ def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
                     spec, vertex + (nxt,) + _first_keys(spec, state, h - j - idx - 1))
         return TOP
 
-    # strahler: scan candidate siblings at each level, lowest level first
-    g = spec.strahler_g
+    # strahler: try the next siblings at each level, lowest level first, in
+    # string order over the strings of up to nl_cap + 1 bits that keep the
+    # count of nonempty strings in [z_lo, z_hi].  A candidate's completion
+    # depends only on its class (empty, or length and first bit), so a failed
+    # candidate drops its class from the rule
+    z_hi = spec.strahler_g - k
     for idx in range(h - j - 1, -1, -1):
         vertex = leaf[:idx]
-        z, b, bad = _state(spec, vertex)
-        between = (h - j) - idx - 1
+        z, b, _ = _state(spec, vertex)
+        z_lo = z_hi - ((h - j) - idx - 1)
         nl_cap = spec.bits - i - b
         if nl_cap < 0:
             continue
-        strings = _ordered_lenbits(min(spec.max_complen, nl_cap + 1))
-        keys = [_skey(spec, L, bb) for L, bb in strings]
-        for pos in range(bisect_right(keys, leaf[idx]), len(keys)):
-            length, bits = _sdecode(spec, keys[pos])
-            znew = z + (1 if length else 0)
-            if not (g - k) - between <= znew <= g - k:
-                continue
-            cand = _strahler_raise_completion(spec, vertex, keys[pos], i, j, k)
+        lengths = (2 << min(spec.max_complen, nl_cap + 1)) - 2 if z_lo <= z + 1 <= z_hi else 0
+        rule = [z_lo <= z <= z_hi, lengths, lengths]
+        s = _sdecode(spec, leaf[idx])
+        while (s := _next_string(rule, *s)) is not None:
+            cand = _strahler_raise_completion(spec, vertex, _skey(spec, *s), i, j, k)
             if cand is not None:
                 return cand
+            length, bits = s
+            if length:
+                rule[1 + (bits >> (length - 1))] &= ~(1 << length)
+            else:
+                rule[0] = False
     return TOP
 
 
@@ -673,18 +675,16 @@ def leaf_count(spec: TreeSpec) -> int:
     classes = [(1, 0, 0)] + [(1 << (m - 1), m, first << (m - 1))
                              for m in range(1, spec.max_complen + 1) for first in (0, 1)]
 
-    @lru_cache(maxsize=None)
-    def count(levels, state):
-        if levels == 0:
-            return 1
-        total = 0
-        for size, length, bits in classes:
-            st = _comp_ok(spec, *state, length, bits, levels - 1)
-            if st is not None:
-                total += size * count(levels - 1, st)
-        return total
-
-    return count(spec.height, (0, 0, False))
+    ways = {(0, 0, False): 1}  # prefix state -> number of prefixes that reach it
+    for t_after in range(spec.height - 1, -1, -1):
+        nxt = {}
+        for state, n in ways.items():
+            for size, length, bits in classes:
+                st = _comp_ok(spec, *state, length, bits, t_after)
+                if st is not None:
+                    nxt[st] = nxt.get(st, 0) + n * size
+        ways = nxt
+    return sum(ways.values())
 
 
 def iter_leaves(spec: TreeSpec):

@@ -24,6 +24,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from treelift import one_player
 from treelift.cli import main
 from treelift.game import gen_random, write_pgsolver
 
@@ -106,6 +107,53 @@ def test_drop_counts_at_bench_scale(tmp_path):
         res = json.loads(out.getvalue())
         got.append((seed, res["drops"], res["phases"], res["lifts"]))
     assert got == BENCH_SCALE
+
+
+# (tree, n, d, seed, drops, phases, lifts, Counters.bf_runs) of ``solve
+# --tree strahler`` on gen_random(120, 6, 3, seed), the strahler-lc games, and
+# of ``solve --tree succinct`` on gen_random(300, 8, 3, seed), the succinct-lc
+# games.  The corpus above is too small to see a threshold probe skipped or
+# reordered at this size; bf_runs counts every probe, and drops every label
+# a probe or a final sweep lowers.
+LC_BENCH_SCALE = [
+    ("strahler", 120, 6, 701, 1184, 4, 176, 77), ("strahler", 120, 6, 702, 1671, 3, 138, 96),
+    ("strahler", 120, 6, 703, 2331, 4, 141, 104), ("strahler", 120, 6, 704, 1367, 4, 236, 84),
+    ("strahler", 120, 6, 705, 871, 4, 200, 38), ("strahler", 120, 6, 706, 200, 3, 177, 24),
+    ("succinct", 300, 8, 701, 5036, 7, 462, 77), ("succinct", 300, 8, 702, 7103, 5, 379, 108),
+    ("succinct", 300, 8, 703, 2611, 5, 636, 54)]
+# sha256 of the ``--dump-aux`` stderr of ``solve --tree strahler`` on two of
+# those games: every arc cost of every phase.
+LC_DUMP_AUX = {
+    701: "9358462d544990419cd2f998092e310250544cf9c60485ed71f2253265c083c0",
+    702: "2b2f930131fc997dccbf133929266774c0998ac7a5a196af86d2a351cd4e0d0b"}
+
+
+def test_lc_counts_at_bench_scale(tmp_path, monkeypatch):
+    made = []
+
+    class Recording(one_player.Counters):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(one_player, "Counters", Recording)
+    got, aux = [], {}
+    for tree, n, d, seed, *_ in LC_BENCH_SCALE:
+        path = tmp_path / f"{tree}{seed}.pg"
+        path.write_text(write_pgsolver(gen_random(n, d, 3, seed)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["solve", str(path), "--tree", tree]) == 0
+        res = json.loads(out.getvalue())
+        got.append((tree, n, d, seed, res["drops"], res["phases"], res["lifts"],
+                    made[-1].bf_runs))
+        if tree == "strahler" and seed in LC_DUMP_AUX:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                assert main(["solve", str(path), "--tree", tree, "--dump-aux"]) == 0
+            aux[seed] = hashlib.sha256(err.getvalue().encode()).hexdigest()
+    assert got == LC_BENCH_SCALE
+    assert aux == LC_DUMP_AUX
 
 
 if __name__ == "__main__":

@@ -210,7 +210,9 @@ def test_worklist_matches_sweep(monkeypatch):
                         domain = trees.chain_member_spec(spec, j, k, i)
                         start = dict.fromkeys(jn, TOP)
                         start[w] = trees.min_leaf(domain)
-                        got = _bf(dict(start), report.j_in[w], domain, Counters())
+                        got = dict(start)
+                        lowered = _bf(got, report.j_in[w], domain, Counters(), [w])
+                        assert set(lowered) == {u for u in jn if got[u] != start[u]}
                         assert got == _sweep(start, arcs, g.priorities, domain)
                         probes += 1
     assert probes > 500 and len(finals) > 100
@@ -251,7 +253,8 @@ def test_bf_walk_longer_than_nodes():
     in_arcs = {}
     for v, w in sorted(arcs):
         in_arcs.setdefault(w, []).append((v, prio[v]))
-    got = _bf(dict(start), dict(sorted(in_arcs.items())), spec, rounds)
+    got = dict(start)
+    _bf(got, dict(sorted(in_arcs.items())), spec, rounds, [1])
     assert got == _sweep(dict(start), arcs, prio, spec)
     assert got[6] == (0, 0, 1) and len(rounds.seen) == 8
 

@@ -230,6 +230,31 @@ def test_succinct_tree_of_capacity_2_to_the_30():
     assert trees.raise_leaf(spec, least, 2, 1, 0) == LF(spec, ["0" * 28, "00"])
 
 
+
+def test_strahler_tree_of_capacity_2_to_the_30():
+    # the strahler twin of the test above: a raise steps through candidate
+    # strings by class, so it neither lists the 2**31 strings of up to 30
+    # bits nor tries the 2**29 strings of one failing class one by one
+    rng = random.Random(31)
+    for _ in range(5):
+        g = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,
+                       seed=rng.randint(0, 10 ** 9))
+        h = g.d // 2 or 1
+        spec = TreeSpec.strahler(h, 2 ** 30, h)
+        res = strategy_iteration_solve(g, spec, record_phases=False)
+        assert frozenset(res.even_wins) == zielonka_solve(g).even_wins
+    spec = TreeSpec.strahler(1, 2 ** 30, 2)
+    least = LF(spec, ["0" * 31, ""])
+    assert trees.min_leaf(spec) == least
+    assert trees.next_subtree_min(spec, least[:1]) == LF(spec, ["0" * 30, ""])
+    assert trees.raise_leaf(spec, least, 2, 1, 0) == LF(spec, ["0" * 29, ""])
+    assert trees.raise_leaf(spec, least, 2, 1, 1) == LF(spec, ["", "0" * 31])
+    # every string after 01^29 of up to 29 bits at the middle place starts
+    # with 1 and fails, so the raise re-branches at the first place
+    spec = TreeSpec.strahler(2, 2 ** 30, 3)
+    assert trees.raise_leaf(spec, LF(spec, ["", "0" + "1" * 29, "0"]), 2, 1, 1) == \
+        LF(spec, ["1" + "0" * 28, "", "000"])
+
 def test_race_naive_flag(worked, p32):
     res = strategy_iteration_solve(worked, p32, tau1=WORKED_TAU, counters=NaiveRace())
     assert res.even_wins == (C, D, E)

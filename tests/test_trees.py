@@ -245,6 +245,41 @@ def test_leaf_count_matches_enumeration():
     assert (specs, prefixes) == (192, 16302)
 
 
+
+def test_string_trees_at_height_1500():
+    # navigation and counting take no Python stack per tree level.  The
+    # succinct tree of capacity 4 has sum over t <= 2 of C(t + h - 1, t) 2**t
+    # leaves, and the strahler tree with g = 1 and capacity 2 has 6h - 3: one
+    # nonempty string of 1 or 2 bits at one of h places, not starting with 1
+    # at the last; both formulas are checked on small heights first
+    from math import comb
+    counts = {trees.SUCCINCT: lambda h: sum(comb(t + h - 1, t) << t for t in range(3)),
+              trees.STRAHLER: lambda h: 6 * h - 3}
+    make = {trees.SUCCINCT: lambda h: TreeSpec.succinct(4, h),
+            trees.STRAHLER: lambda h: TreeSpec.strahler(1, 2, h)}
+    h = 1500
+    for kind in (trees.SUCCINCT, trees.STRAHLER):
+        for small in range(1, 5):
+            assert len(all_leaves(make[kind](small))) == counts[kind](small)
+        spec = make[kind](h)
+        assert leaf_count(spec) == counts[kind](h)
+        empty = [""] * (h - 1)
+        least = LF(spec, ["00"] + empty)
+        assert min_leaf(spec) == least
+        # after "00" the first string is "0", then the least completion
+        second = LF(spec, ["0", "0"] + empty[1:] if kind == trees.SUCCINCT else ["0"] + empty)
+        assert trees.next_subtree_min(spec, least[:1]) == second
+        assert trees.next_subtree_min(spec, least[:-1]) == second
+        assert tighten_target(spec, least, 1) == second
+        assert tighten_target(spec, least, 2) == least
+        assert tighten_target(spec, second, 2 * h) == least
+        # the only nonempty string at the deepest place
+        deep = LF(spec, empty + ["00"])
+        assert min_leaf_below(spec, deep[:-1]) == deep
+        assert tighten_target(spec, deep, 1) == LF(spec, empty + ["0"])
+        # the next place's least string after the empty one starts with 1
+        assert tighten_target(spec, deep, 3) == LF(spec, empty[1:] + ["10", ""])
+
 def test_chain_info(p32, s72):
     assert chain_info(s72, 1) == (1, {0: 3})
     for j in range(3):
