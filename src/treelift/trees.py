@@ -20,8 +20,10 @@ rule sees only a component's length and first bit, so navigation finds the
 next admitted string from those classes in O(log capacity) steps and never
 lists the strings a prefix admits.  Nothing in it recurses per tree level or
 builds a list that grows with the capacity: least completions and leaf
-counts loop level by level, and a Strahler raise steps through candidate
-strings with the same successor, dropping the class of a failed candidate.
+counts loop level by level.  A raise is the successor walk with a goal for
+the state of its depth-(h-j) vertex: the rule then admits only strings after
+which the goal can still be reached, read from a table of prefix states built
+level by level, upward from the goal, over the finite state set.
 ``chain_members`` gives a chain's member trees with their least leaves,
 memoised per spec like ``leaf_count``.
 
@@ -172,9 +174,6 @@ def _sdecode(spec: TreeSpec, key: int) -> tuple[int, int]:
     v = key + (1 << spec.keylen)
     t = (v & -v).bit_length() - 1
     return spec.keylen - t, ((v >> t) - 1) >> 1
-
-
-_EPS_KEY = 0  # _skey(spec, 0, 0) for every spec
 
 
 def _first_bit(length: int, bits: int) -> int:
@@ -336,17 +335,58 @@ def truncate(spec: TreeSpec, label, p: int):
 
 
 @lru_cache(maxsize=None)
-def _rule(spec: TreeSpec, state: tuple, t_after: int) -> tuple:
+def _classes(spec: TreeSpec) -> tuple:
+    """The string classes the step rule tells apart, as (size, length, bits of
+    the least member): the empty string, then 2**(m-1) strings per length m
+    and first bit."""
+    return ((1, 0, 0),) + tuple((1 << (m - 1), m, first << (m - 1))
+                                for m in range(1, spec.max_complen + 1) for first in (0, 1))
+
+
+@lru_cache(maxsize=1 << 17)
+def _successors(spec: TreeSpec, state: tuple, t_after: int) -> frozenset:
+    """The prefix states one component after ``state``, shared by all goals."""
+    return frozenset(_comp_ok(spec, *state, length, bits, t_after)
+                     for _, length, bits in _classes(spec)) - {None}
+
+
+@lru_cache(maxsize=None)
+def _reach(spec: TreeSpec, goal: tuple) -> tuple:
+    """For a raise goal ``(depth, z, b_max)``, indexed by depth up to
+    ``depth``: the prefix states from which a depth-``depth`` vertex with
+    ``z`` nonempty strings and at most ``b_max`` bits can be reached.  Built
+    level by level, upward from the goal, over the finite set of states."""
+    depth, z_goal, b_max = goal
+    # no step lowers z or b, so only states with both at most the goal's can reach it
+    states = [(z, b, bad) for z in range(z_goal + 1) for b in range(b_max + 1)
+              for bad in (False, True)]
+    table = [frozenset(s for s in states if s[0] == z_goal)]
+    for t_after in range(spec.height - depth, spec.height):
+        below = table[-1]
+        table.append(frozenset(s for s in states
+                               if not _successors(spec, s, t_after).isdisjoint(below)))
+    return tuple(reversed(table))
+
+
+@lru_cache(maxsize=None)
+def _rule(spec: TreeSpec, state: tuple, t_after: int, goal) -> tuple:
     """The step rule at one prefix state, by string class: whether the empty
     string may follow, then for first bit 0 and for first bit 1 a mask with
     bit m set iff the strings of length m may.  The rule sees only a string's
-    length and first bit, so these decide every string without listing any."""
-    masks = [0, 0]
-    for m in range(1, spec.max_complen + 1):
-        for first in (0, 1):
-            if _comp_ok(spec, *state, m, first << (m - 1), t_after) is not None:
-                masks[first] |= 1 << m
-    return _comp_ok(spec, *state, 0, 0, t_after) is not None, masks[0], masks[1]
+    length and first bit, so these decide every string without listing any.
+    With a raise ``goal``, a string is admitted only if the goal can still be
+    reached after it; ``goal`` None admits every string the step rule does."""
+    depth = spec.height - t_after  # the depth after this component
+    reach = _reach(spec, goal)[depth] if goal is not None and depth <= goal[0] else None
+    ok = [False, 0, 0]
+    for _, length, bits in _classes(spec):
+        st = _comp_ok(spec, *state, length, bits, t_after)
+        if st is not None and (reach is None or st in reach):
+            if length:
+                ok[1 + (bits >> (length - 1))] |= 1 << length
+            else:
+                ok[0] = True
+    return tuple(ok)
 
 
 def _admits(rule: tuple, length: int, bits: int) -> bool:
@@ -375,10 +415,11 @@ def _next_string(rule: tuple, length: int, bits: int):
     return nxt
 
 
-def _next_key(spec: TreeSpec, state: tuple, t_after: int, key):
+def _next_key(spec: TreeSpec, state: tuple, t_after: int, key, goal=None):
     """Least component key > ``key`` (the least key if ``key`` is None) that
-    may follow a string-tree prefix state; None if there is none."""
-    rule = _rule(spec, state, t_after)
+    may follow a string-tree prefix state towards ``goal``; None if there is
+    none."""
+    rule = _rule(spec, state, t_after, goal)
     if key is None:  # the least string starting with 0, else the least after "0"
         s = _least_from(rule, 1, 0) or _next_string(rule, 1, 0)
     else:
@@ -387,12 +428,12 @@ def _next_key(spec: TreeSpec, state: tuple, t_after: int, key):
 
 
 @lru_cache(maxsize=None)
-def _first_keys(spec: TreeSpec, state: tuple, rest: int) -> tuple:
-    """The least completion of a string-tree prefix state: its first child,
-    then that child's first child, down ``rest`` levels."""
+def _first_keys(spec: TreeSpec, state: tuple, rest: int, goal) -> tuple:
+    """The least completion of a string-tree prefix state towards ``goal``:
+    its first child, then that child's first child, down ``rest`` levels."""
     keys = []
     for t_after in range(rest - 1, -1, -1):
-        key = _next_key(spec, state, t_after, None)
+        key = _next_key(spec, state, t_after, None, goal)
         state = _comp_ok(spec, *state, *_sdecode(spec, key), t_after)
         keys.append(key)
     return tuple(keys)
@@ -412,8 +453,9 @@ def child_components(spec: TreeSpec, prefix) -> list:
     return out[:-1]
 
 
-def min_leaf_below(spec: TreeSpec, prefix) -> tuple:
-    """Smallest leaf of the subtree rooted at ``prefix``."""
+def min_leaf_below(spec: TreeSpec, prefix, goal=None) -> tuple:
+    """Smallest leaf of the subtree rooted at ``prefix`` (through a vertex
+    that meets the ``raise_leaf`` goal ``goal``, if one is given)."""
     prefix = tuple(prefix)
     rest = spec.height - len(prefix)
     if rest < 0:
@@ -423,28 +465,30 @@ def min_leaf_below(spec: TreeSpec, prefix) -> tuple:
             if not 0 <= c < spec.capacity:
                 raise UsageError("prefix is not a vertex of this tree")
         return prefix + (0,) * rest
-    return prefix + _first_keys(spec, _state(spec, prefix), rest)
+    return prefix + _first_keys(spec, _state(spec, prefix), rest, goal)
 
 
 def min_leaf(spec: TreeSpec) -> tuple:
     return min_leaf_below(spec, ())
 
 
-def _next_sibling_key(spec: TreeSpec, prefix, key: int, t_after: int):
+def _next_sibling_key(spec: TreeSpec, prefix, key: int, t_after: int, goal):
     """Smallest component key > ``key`` available at the parent ``prefix``."""
     if spec.kind == PERFECT:
         return key + 1 if key + 1 < spec.capacity else None
-    return _next_key(spec, _state(spec, prefix), t_after, key)
+    return _next_key(spec, _state(spec, prefix), t_after, key, goal)
 
 
-def next_subtree_min(spec: TreeSpec, prefix):
+def next_subtree_min(spec: TreeSpec, prefix, goal=None):
     """Smallest leaf strictly above everything under ``prefix``; that is, the
-    minimum leaf of the next vertex at the same depth.  TOP if none exists."""
+    minimum leaf of the next vertex at the same depth (the next one through
+    a vertex that meets the ``raise_leaf`` goal ``goal``, if one is given).
+    TOP if none exists."""
     pre = tuple(prefix)
     for idx in range(len(pre) - 1, -1, -1):
-        nxt = _next_sibling_key(spec, pre[:idx], pre[idx], spec.height - idx - 1)
+        nxt = _next_sibling_key(spec, pre[:idx], pre[idx], spec.height - idx - 1, goal)
         if nxt is not None:
-            return min_leaf_below(spec, pre[:idx] + (nxt,))
+            return min_leaf_below(spec, pre[:idx] + (nxt,), goal)
     return TOP
 
 
@@ -486,14 +530,12 @@ def zeta(spec: TreeSpec, label) -> int:
 def chain_indices(spec: TreeSpec, j: int) -> list[int]:
     """Chain indices k of the height-j subcover.
 
-    Perfect and succinct trees have the single chain k = 0.  Strahler chains
-    are indexed by the subtree Strahler number k, nonempty exactly for
-    max(0, g-(h-j)) <= k <= min(j, g).
+    Chains are indexed by the subtree Strahler number k, nonempty exactly
+    for max(0, g-(h-j)) <= k <= min(j, g); so perfect and succinct trees,
+    whose g is 0, have the single chain k = 0.
     """
     if not 0 <= j <= spec.height:
         raise UsageError(f"subtree height {j} out of range [0, {spec.height}]")
-    if spec.kind != STRAHLER:
-        return [0]
     g, h = spec.strahler_g, spec.height
     lo, hi = max(0, g - (h - j)), min(j, g)
     return list(range(lo, hi + 1))
@@ -519,9 +561,7 @@ def chain_member_spec(spec: TreeSpec, j: int, k: int, i: int) -> TreeSpec:
         raise UsageError(f"position {i} out of chain range")
     if spec.kind == PERFECT:
         return TreeSpec(PERFECT, spec.capacity, j)
-    if spec.kind == SUCCINCT:
-        return TreeSpec(SUCCINCT, 1 << i, j)
-    return TreeSpec(STRAHLER, 1 << i, j, k)
+    return TreeSpec(spec.kind, 1 << i, j, k)  # k = 0 on a succinct tree
 
 
 @lru_cache(maxsize=None)
@@ -532,132 +572,40 @@ def chain_members(spec: TreeSpec, j: int, k: int) -> tuple:
     return tuple((member, min_leaf(member)) for member in members)
 
 
-def floor_leaf(spec: TreeSpec, leaf, j: int):
-    """``leaf`` when it is the minimum of its own depth-(h-j) subtree,
-    otherwise the minimum of the next such subtree (TOP if there is none)."""
+def floor_leaf(spec: TreeSpec, leaf, j: int, goal=None):
+    """``leaf`` when it is the minimum of its own depth-(h-j) subtree (whose
+    root meets the ``raise_leaf`` goal ``goal``, if one is given), otherwise
+    the minimum of the next such subtree (TOP if there is none)."""
     prefix = leaf[: spec.height - j]
-    if min_leaf_below(spec, prefix) == leaf:
+    if min_leaf_below(spec, prefix) == leaf and (
+            goal is None or _state(spec, prefix) in _reach(spec, goal)[-1]):
         return leaf
-    return next_subtree_min(spec, prefix)
-
-
-def _raise_self_ok(spec: TreeSpec, leaf, i: int, j: int, k: int) -> bool:
-    """Does ``leaf`` (already the minimum of its own depth-(h-j) subtree)
-    sit at chain k with at least i spare bits?"""
-    if spec.kind == PERFECT:
-        return i == 0
-    z, b, _ = _state(spec, leaf[: spec.height - j])
-    return z == spec.strahler_g - k and spec.bits - b >= i
-
-
-def _strahler_raise_completion(spec: TreeSpec, vertex, comp_key: int, i: int,
-                               j: int, k: int):
-    """Assemble the candidate leaf: vertex + comp, minimal filler down to the
-    depth-(h-j) root reserving i non-leading bits, then that subtree's
-    minimum.  Returns None if the assembled tuple is not a valid leaf."""
-    g, B, h = spec.strahler_g, spec.bits, spec.height
-    z, b, _ = _state(spec, vertex)
-    clen, cbits = _sdecode(spec, comp_key)
-    if clen:
-        z, b = z + 1, b + clen - 1
-    between = (h - j) - len(vertex) - 1
-    missing = (g - k) - z
-    spare = B - i - b
-    if spare < 0 or not 0 <= missing <= between:
-        return None
-    parts: list[int] = []
-    extra = 0
-    if between:
-        if missing > 0:
-            parts.append(_skey(spec, 1 + spare, 0))
-            parts.extend([_skey(spec, 1, 0)] * (missing - 1))
-            parts.extend([_EPS_KEY] * (between - missing))
-        else:
-            parts.extend([_EPS_KEY] * between)
-            extra = spare
-    else:
-        if missing:
-            return None
-        extra = spare
-    if k >= 1:
-        block = [_skey(spec, 1 + i + extra, 0)]
-        block.extend([_skey(spec, 1, 0)] * (k - 1))
-        block.extend([_EPS_KEY] * (j - k))
-    else:
-        block = [_EPS_KEY] * j
-    leaf = tuple(vertex) + (comp_key,) + tuple(parts) + tuple(block)
-    try:
-        validate_label(spec, leaf)
-    except UsageError:
-        return None
-    return leaf
+    return next_subtree_min(spec, prefix, goal)
 
 
 def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
     """Smallest leaf >= ``leaf`` that is the minimum of a chain-k subtree of
     height j at position >= i; TOP when no such leaf exists.
 
-    Follows the subroutine contract of the label-correcting engine: the leaf
-    is first normalised to the minimum of the next depth-(h-j) subtree, then
-    either accepted or rebuilt by re-branching at the lowest level that still
-    leaves i spare bits (runs in O(log capacity * height) string steps for
-    succinct trees).  The strahler i = 0 case is decided by the caller.
+    On a string tree this is ``floor_leaf`` with a goal ``(h - j, g - k,
+    bits - i)``: the depth-(h-j) vertex must have g - k nonempty strings and
+    at most bits - i bits spent (a succinct tree has g = k = 0).  The
+    successor walk then admits only strings after which that goal can still
+    be reached, so the raise takes the same level steps as
+    ``next_subtree_min``.
     """
     validate_label(spec, leaf)
-    if leaf is TOP:
-        return TOP
     if not 1 <= j <= spec.height:
         raise UsageError(f"subtree height {j} out of range [1, {spec.height}]")
     if k not in chain_indices(spec, j):
         raise UsageError(f"invalid chain index {k} at height {j}")
     if i < 0:
         raise UsageError("chain position must be >= 0")
-    if spec.kind == STRAHLER and i == 0:
-        raise UsageError("strahler raise with i = 0 is resolved by the caller")
-    if i >= chain_length(spec, j, k):
+    if leaf is TOP or i >= chain_length(spec, j, k):
         return TOP
-    leaf = floor_leaf(spec, leaf, j)
-    if leaf is TOP or _raise_self_ok(spec, leaf, i, j, k):
-        return leaf
-
-    h = spec.height
-    if spec.kind == SUCCINCT:
-        for idx in range(h - j - 1, -1, -1):
-            vertex = leaf[:idx]
-            state = (0, _state(spec, vertex)[1] + i, False)  # i bits kept for the subtree
-            nxt = _next_key(spec, state, h - idx - 1, leaf[idx])
-            if nxt is not None:  # least way down to the subtree, keeping the i bits
-                state = _comp_ok(spec, *state, *_sdecode(spec, nxt), h - idx - 1)
-                return min_leaf_below(
-                    spec, vertex + (nxt,) + _first_keys(spec, state, h - j - idx - 1))
-        return TOP
-
-    # strahler: try the next siblings at each level, lowest level first, in
-    # string order over the strings of up to nl_cap + 1 bits that keep the
-    # count of nonempty strings in [z_lo, z_hi].  A candidate's completion
-    # depends only on its class (empty, or length and first bit), so a failed
-    # candidate drops its class from the rule
-    z_hi = spec.strahler_g - k
-    for idx in range(h - j - 1, -1, -1):
-        vertex = leaf[:idx]
-        z, b, _ = _state(spec, vertex)
-        z_lo = z_hi - ((h - j) - idx - 1)
-        nl_cap = spec.bits - i - b
-        if nl_cap < 0:
-            continue
-        lengths = (2 << min(spec.max_complen, nl_cap + 1)) - 2 if z_lo <= z + 1 <= z_hi else 0
-        rule = [z_lo <= z <= z_hi, lengths, lengths]
-        s = _sdecode(spec, leaf[idx])
-        while (s := _next_string(rule, *s)) is not None:
-            cand = _strahler_raise_completion(spec, vertex, _skey(spec, *s), i, j, k)
-            if cand is not None:
-                return cand
-            length, bits = s
-            if length:
-                rule[1 + (bits >> (length - 1))] &= ~(1 << length)
-            else:
-                rule[0] = False
-    return TOP
+    if spec.kind == PERFECT:  # the single chain has the single position 0
+        return floor_leaf(spec, leaf, j)
+    return floor_leaf(spec, leaf, j, (spec.height - j, spec.strahler_g - k, spec.bits - i))
 
 
 # ---------------------------------------------------------------------------
@@ -670,16 +618,11 @@ def leaf_count(spec: TreeSpec) -> int:
     """Exact number of leaves (arbitrary precision), memoised per spec."""
     if spec.kind == PERFECT:
         return spec.capacity ** spec.height
-    # the step rule sees only a string's length and first bit: one class of
-    # 2**(m-1) strings per (length m, first bit), plus the empty string
-    classes = [(1, 0, 0)] + [(1 << (m - 1), m, first << (m - 1))
-                             for m in range(1, spec.max_complen + 1) for first in (0, 1)]
-
     ways = {(0, 0, False): 1}  # prefix state -> number of prefixes that reach it
     for t_after in range(spec.height - 1, -1, -1):
         nxt = {}
         for state, n in ways.items():
-            for size, length, bits in classes:
+            for size, length, bits in _classes(spec):
                 st = _comp_ok(spec, *state, length, bits, t_after)
                 if st is not None:
                     nxt[st] = nxt.get(st, 0) + n * size

@@ -176,8 +176,7 @@ def test_criterion_6_raise_exhaustive():
                     leaves = list(trees.iter_leaves(spec))
                     for j in range(1, spec.height + 1):
                         for k in trees.chain_indices(spec, j):
-                            lo = 1 if spec.kind == trees.STRAHLER else 0
-                            for i in range(lo, trees.chain_length(spec, j, k)):
+                            for i in range(trees.chain_length(spec, j, k)):
                                 for xi in leaves:
                                     assert trees.raise_leaf(spec, xi, i, j, k) == \
                                         brute_raise(spec, xi, i, j, k), \

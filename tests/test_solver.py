@@ -232,9 +232,10 @@ def test_succinct_tree_of_capacity_2_to_the_30():
 
 
 def test_strahler_tree_of_capacity_2_to_the_30():
-    # the strahler twin of the test above: a raise steps through candidate
-    # strings by class, so it neither lists the 2**31 strings of up to 30
-    # bits nor tries the 2**29 strings of one failing class one by one
+    # the strahler twin of the test above: a raise walks to the next string
+    # from which its goal is reachable, deciding strings by class, so it
+    # neither lists the 2**31 strings of up to 30 bits nor tries the 2**29
+    # strings of one failing class one by one
     rng = random.Random(31)
     for _ in range(5):
         g = gen_random(rng.randint(2, 12), rng.randint(1, 6), 3,

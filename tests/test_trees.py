@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import os
 import pickle
 import random
@@ -135,14 +136,20 @@ def test_raise_examples(p32, s72):
     assert raise_leaf(s72, LF(s72, ["0", "0"]), 1, 1, 0) == LF(s72, ["0", "0"])
     # no chain member has three spare bits
     assert raise_leaf(s72, LF(s72, ["", ""]), 3, 1, 0) is TOP
+    # TOP raises to TOP, but only for arguments a leaf would accept
+    s83 = TreeSpec.succinct(8, 3)
+    assert raise_leaf(s83, TOP, 0, 1, 0) is TOP
+    for i, j, k in ((-1, 99, 7), (0, 99, 0), (0, 1, 7), (-1, 1, 0)):
+        for xi in (TOP, min_leaf(s83)):
+            with pytest.raises(UsageError):
+                raise_leaf(s83, xi, i, j, k)
 
 
 def test_raise_strahler_contract():
     spec = TreeSpec.strahler(1, 7, 2)
-    with pytest.raises(UsageError):
-        raise_leaf(spec, min_leaf(spec), 0, 1, 1)
-    got = raise_leaf(spec, min_leaf(spec), 1, 1, 1)
-    assert got == brute_raise(spec, min_leaf(spec), 1, 1, 1)
+    for i in (0, 1):
+        got = raise_leaf(spec, min_leaf(spec), i, 1, 1)
+        assert got == brute_raise(spec, min_leaf(spec), i, 1, 1)
 
 
 SMALL_STRING_SPECS = [
@@ -158,11 +165,85 @@ def test_raise_matches_brute_small(spec):
     leaves = list(trees.iter_leaves(spec))
     for j in range(1, spec.height + 1):
         for k in trees.chain_indices(spec, j):
-            lo = 1 if spec.kind == trees.STRAHLER else 0
-            for i in range(lo, trees.chain_length(spec, j, k)):
+            for i in range(trees.chain_length(spec, j, k)):
                 for xi in leaves:
                     assert raise_leaf(spec, xi, i, j, k) == \
                         brute_raise(spec, xi, i, j, k), (xi, i, j, k)
+
+
+def _random_leaf(spec: TreeSpec, rng: random.Random):
+    """A seeded random leaf of a string tree: random nonempty places (exactly
+    g of them on a Strahler tree), mostly short strings of random bits, half
+    of them forced to start with 0, drawn again until the components form a
+    leaf."""
+    h = spec.height
+    while True:
+        if spec.kind == trees.STRAHLER:
+            places = set(rng.sample(range(h), spec.strahler_g))
+        else:
+            places = {p for p in range(h) if rng.random() < 0.5}
+        comps = []
+        for p in range(h):
+            n = 0
+            if p in places:
+                n = rng.randint(1, spec.max_complen) if rng.random() < 0.25 else rng.randint(1, 3)
+            bits = rng.getrandbits(n) >> rng.randint(0, 1)  # half start with 0
+            comps.append(format(bits, "b").zfill(n) if n else "")
+        try:
+            return LF(spec, comps)
+        except UsageError:
+            continue
+
+
+PINNED_RAISE_SHA256 = "30d60c7a5831ad481118411d65040ea611827c13fee016c760d1552da1ada23e"
+
+PINNED_RAISE_SPECS = [
+    TreeSpec.succinct(2 ** 30, 7),
+    TreeSpec.succinct(2 ** 30, 2),
+    TreeSpec.succinct(1000, 6),
+    TreeSpec.succinct(2 ** 20, 3),
+    TreeSpec.strahler(1, 2 ** 30, 7),
+    TreeSpec.strahler(3, 2 ** 30, 7),
+    TreeSpec.strahler(7, 2 ** 30, 7),
+    TreeSpec.strahler(2, 2 ** 30, 3),
+    TreeSpec.strahler(4, 2 ** 16, 6),
+    TreeSpec.strahler(2, 1000, 5),
+]
+
+
+def test_raise_pinned_beyond_brute_force():
+    # raises on trees far too large for brute_raise, pinned by the sha256 of
+    # their rendered results.  An input is a random leaf or the minimum of one
+    # of its subtrees; positions run from 1 on Strahler trees (position 0 is
+    # checked against brute_raise on small trees) to one past the chain's
+    # end, where the raise is TOP
+    rng = random.Random(2020)
+    lines = []
+    for spec in PINNED_RAISE_SPECS:
+        for _ in range(300):
+            xi = _random_leaf(spec, rng)
+            if rng.random() < 0.5:
+                xi = tighten_target(spec, xi, rng.randint(1, 2 * spec.height))
+                if xi is TOP:
+                    xi = min_leaf(spec)
+            j = rng.randint(1, spec.height)
+            k = rng.choice(trees.chain_indices(spec, j))
+            i = rng.randint(1 if spec.kind == trees.STRAHLER else 0,
+                            trees.chain_length(spec, j, k))
+            got = raise_leaf(spec, xi, i, j, k)
+            lines.append(f"{format_label(spec, xi)} {i} {j} {k} {format_label(spec, got)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_RAISE_SHA256
+    # at height 1,200 a raise walks the levels without recursing; k is the
+    # last chain at j = 1
+    empty = [""] * 1200
+    succinct = TreeSpec.succinct(1000, 1200)
+    assert raise_leaf(succinct, min_leaf(succinct), 2, 1, 0) == \
+        LF(succinct, ["0" * 7] + empty[2:] + ["00"])
+    strahler = TreeSpec.strahler(3, 1000, 1200)
+    assert trees.chain_indices(strahler, 1)[-1] == 1
+    assert raise_leaf(strahler, min_leaf(strahler), 2, 1, 1) == \
+        LF(strahler, ["0" * 8, "0"] + empty[3:] + ["000"])
 
 
 @pytest.mark.parametrize("spec", SMALL_STRING_SPECS)
