@@ -51,7 +51,11 @@ def _attractor(nodes, succ, owners, target, player):
 
 def zielonka_solve(game) -> WinnerPartition:
     """Classical recursive attractor-based partition (exponential worst case;
-    intended for cross-checking at small sizes)."""
+    intended for cross-checking at small sizes).
+
+    The recursion runs on an explicit stack: ``solve`` yields each subgame it
+    recurses into and is sent back that subgame's partition.  Its depth grows
+    with the number of distinct priorities, so it takes no Python stack."""
 
     def solve(nodes):
         if not nodes:
@@ -60,17 +64,28 @@ def zielonka_solve(game) -> WinnerPartition:
         player = p % 2
         tops = {v for v in nodes if game.priorities[v] == p}
         a = _attractor(nodes, game.succ, game.owners, tops, player)
-        w0, w1 = solve(nodes - a)
+        w0, w1 = yield nodes - a
         win = (w0, w1)
         if not win[1 - player]:
             mine = set(nodes) - win[1 - player]
             return (mine, set()) if player == EVEN else (set(), mine)
         b = _attractor(nodes, game.succ, game.owners, win[1 - player], 1 - player)
-        w0b, w1b = solve(nodes - b)
+        w0b, w1b = yield nodes - b
         if player == EVEN:
             return w0b, w1b | b
         return w0b | b, w1b
-    even, odd = solve(frozenset(range(game.n)))
+
+    stack, result = [solve(frozenset(range(game.n)))], None
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:  # a call returned: resume its caller
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(solve(sub))
+            result = None
+    even, odd = result
     return WinnerPartition(frozenset(even), frozenset(odd))
 
 

@@ -2,10 +2,19 @@
 
 Odd maintains a strategy and the labeling is repeatedly replaced by the least
 fixed point of the 1-player game for Even that is pointwise at least the
-current labeling.  Pivots switch Odd nodes onto violated (admissible) arcs;
-termination is by label monotonicity.  The final labeling is the pointwise
-minimal one feasible in the whole game, so with capacity >= n the non-top
-nodes are exactly Even's winning set.
+current labeling.  Pivots switch Odd nodes onto violated (admissible) arcs.
+The final labeling is the pointwise minimal one feasible in the whole game,
+so with capacity >= n the non-top nodes are exactly Even's winning set.
+
+The solve ends because every phase after the first raises a label and none
+falls.  ``is_feasible`` rejects a labeling in which a label fell.  A pivot
+switches Odd onto arcs that the current labels violate, so those labels are
+not a fixed point of the new strategy subgraph, and the next phase's least
+fixed point above them must change some label.  A node's label only rises
+through the finitely many leaves of the tree and TOP, so the phases are
+finitely many.  A phase after a pivot that changes no label breaks this
+argument (a pivot rule that selects nothing would repeat forever), and the
+solver raises ``InvariantError`` on it.
 
 Only the first phase solves the whole strategy subgraph.  A later phase
 re-solves only the nodes R that reach a switched node: the rest of the game
@@ -235,7 +244,6 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
     tau = dict(tau1) if tau1 is not None else default_strategy(game)
     mu = NodeLabeling.all_min(spec, game.n)
     phase_labels = [mu] if record_phases else []
-    phase_cap = game.n * trees.leaf_count(spec) + 1
     lifts = 0
     phases = 0
 
@@ -248,6 +256,8 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         counters.phase(sub, mu, new)
         phases += 1
         changed = is_feasible(game, sub.tau, mu, new, heads, dirty)
+        if phases > 1 and not changed:
+            raise InvariantError(f"phase {phases} changed no label after a pivot")
         lifts += sum(1 for v in changed if v in region.inner)
         mu = new
         if record_phases:
@@ -255,8 +265,6 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         adm = admissible_arcs(game, heads)
         if not adm:
             break
-        if phases > phase_cap:
-            raise InvariantError("phase cap exceeded; monotonicity must be broken")
         switches, sub, region = pivot(sub, mu, adm, rule)
         dirty = set(switches)
 

@@ -20,10 +20,21 @@ rule sees only a component's length and first bit, so navigation finds the
 next admitted string from those classes in O(log capacity) steps and never
 lists the strings a prefix admits.  Nothing in it recurses per tree level or
 builds a list that grows with the capacity: least completions and leaf
-counts loop level by level.  A raise is the successor walk with a goal for
-the state of its depth-(h-j) vertex: the rule then admits only strings after
-which the goal can still be reached, read from a table of prefix states built
-level by level, upward from the goal, over the finite state set.
+counts loop level by level.
+
+Every walk steps its prefix once, in a single forward pass from the root
+(``_states``), and reads the parents' states from that pass as it climbs;
+no state is cached by prefix, only single steps by (state, key, levels
+left).  So a successor walk costs O(h) steps, not one re-stepped prefix per
+level.  The rule reads the number of levels left only against g, so steps
+and rules are keyed by min(levels left, g): a spec holds at most
+states x (g + 1) goal-free rules, and a least completion emits a first child
+that keeps its state as one run down to the g-th level from the bottom.  A
+raise is the successor walk with a goal for the state of its depth-(h-j)
+vertex: the rule then admits only strings after which the goal can still be
+reached, read from a table of prefix states built level by level, upward
+from the goal, over the finite state set.  The raise steps its leaf once,
+when validating it, and its floor test, walk and completion read that pass.
 ``chain_members`` gives a chain's member trees with their least leaves,
 memoised per spec like ``leaf_count``.
 
@@ -176,10 +187,6 @@ def _sdecode(spec: TreeSpec, key: int) -> tuple[int, int]:
     return spec.keylen - t, ((v >> t) - 1) >> 1
 
 
-def _first_bit(length: int, bits: int) -> int:
-    return (bits >> (length - 1)) & 1 if length else -1
-
-
 def leaf_from_components(spec: TreeSpec, comps) -> tuple:
     """Build (and validate) a leaf from integers or bit strings.
 
@@ -239,7 +246,9 @@ def _comp_ok(spec: TreeSpec, z: int, b: int, bad: bool, length: int, bits: int,
 
     State: ``z`` nonempty strings so far, ``b`` bits spent so far, ``bad`` =
     the trailing run of nonempty components contains one starting with 1.
-    ``t_after`` components remain after this choice.
+    ``t_after`` components remain after this choice.  It is only compared
+    with g - z and g - z - 1, both at most g, so the step depends on it only
+    through min(t_after, g).
 
     A succinct component only spends bits: the state stays ``(0, b, False)``
     and the step is valid iff ``b + length <= bits``.
@@ -266,7 +275,7 @@ def _comp_ok(spec: TreeSpec, z: int, b: int, bad: bool, length: int, bits: int,
         return None
     if b == B and not (length == 1 and bits == 0):
         return None  # budget exhausted with z < g: component must be "0"
-    newbad = bad or _first_bit(length, bits) == 1
+    newbad = bad or bits >> nl == 1  # the string starts with 1
     if g - (z + 1) > t_after:
         return None
     if newbad and g - (z + 1) == t_after:
@@ -275,40 +284,58 @@ def _comp_ok(spec: TreeSpec, z: int, b: int, bad: bool, length: int, bits: int,
 
 
 @lru_cache(maxsize=1 << 17)
-def _state(spec: TreeSpec, prefix: tuple) -> tuple[int, int, bool]:
-    """State (z, b, bad) of a string tree after ``prefix``; raises if the
-    prefix is not a vertex of the tree."""
-    z, b, bad = 0, 0, False
-    rest = spec.height - 1
-    for idx, key in enumerate(prefix):
-        st = _comp_ok(spec, z, b, bad, *_sdecode(spec, key), rest - idx)
+def _step(spec: TreeSpec, state: tuple, key: int, t_after: int):
+    """The step rule for an encoded component: the prefix state after ``key``,
+    or None if it may not follow ``state``; raises UsageError if ``key``
+    encodes no string.  Memoised by its four small values (callers pass
+    min(t_after, g), all the rule reads)."""
+    length, bits = _sdecode(spec, key)
+    if not 0 <= length <= spec.max_complen or bits >> max(length, 0):
+        raise UsageError(f"component key {key} does not decode to a string")
+    if _skey(spec, length, bits) != key:
+        raise UsageError(f"component key {key} is not canonical")
+    return _comp_ok(spec, *state, length, bits, t_after)
+
+
+def _states(spec: TreeSpec, prefix) -> list:
+    """The prefix states of the vertex ``prefix`` after its first 0, 1, ...,
+    len(prefix) components, in one forward pass (a perfect tree has the one
+    state (), which every key below the capacity keeps); raises UsageError
+    if ``prefix`` is not a vertex."""
+    if len(prefix) > spec.height:
+        raise UsageError("prefix longer than tree height")
+    if spec.kind == PERFECT:
+        if prefix and (min(prefix) < 0 or max(prefix) >= spec.capacity):
+            raise UsageError("prefix is not a vertex of this tree")
+        return [()] * (len(prefix) + 1)
+    states, g = [(0, 0, False)], spec.strahler_g
+    for t_after, key in zip(range(spec.height - 1, -1, -1), prefix):
+        st = _step(spec, states[-1], key, min(t_after, g))
         if st is None:
             raise UsageError("prefix is not a vertex of this tree")
-        z, b, bad = st
-    return z, b, bad
+        states.append(st)
+    return states
 
 
 def validate_label(spec: TreeSpec, label) -> None:
     """Raise UsageError unless ``label`` is TOP or a leaf of ``spec``."""
+    _leaf_states(spec, label)
+
+
+def _leaf_states(spec: TreeSpec, label):
+    """``validate_label``'s check, returning the leaf's prefix states (None
+    for TOP)."""
     if label is TOP:
-        return
+        return None
     if not isinstance(label, tuple) or len(label) != spec.height:
         raise UsageError(f"label must be TOP or a {spec.height}-tuple")
     if spec.kind == PERFECT:
         for c in label:
             if not isinstance(c, int) or not 0 <= c < spec.capacity:
                 raise UsageError(f"perfect component {c!r} out of range")
-        return
-    maxlen = spec.max_complen
-    for key in label:
-        if not isinstance(key, int):
-            raise UsageError("string components must be encoded keys")
-        length, bits = _sdecode(spec, key)
-        if not 0 <= length <= maxlen or bits >> max(length, 0):
-            raise UsageError(f"component key {key} does not decode to a string")
-        if _skey(spec, length, bits) != key:
-            raise UsageError(f"component key {key} is not canonical")
-    _state(spec, label)  # every step of a leaf obeys the step rule
+    elif not all(isinstance(key, int) for key in label):
+        raise UsageError("string components must be encoded keys")
+    return _states(spec, label)  # each key encodes a string that obeys the step rule
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +388,8 @@ def _reach(spec: TreeSpec, goal: tuple) -> tuple:
     states = [(z, b, bad) for z in range(z_goal + 1) for b in range(b_max + 1)
               for bad in (False, True)]
     table = [frozenset(s for s in states if s[0] == z_goal)]
-    for t_after in range(spec.height - depth, spec.height):
-        below = table[-1]
+    for t in range(spec.height - depth, spec.height):
+        t_after, below = min(t, spec.strahler_g), table[-1]  # all the step reads
         table.append(frozenset(s for s in states
                                if not _successors(spec, s, t_after).isdisjoint(below)))
     return tuple(reversed(table))
@@ -375,9 +402,9 @@ def _rule(spec: TreeSpec, state: tuple, t_after: int, goal) -> tuple:
     bit m set iff the strings of length m may.  The rule sees only a string's
     length and first bit, so these decide every string without listing any.
     With a raise ``goal``, a string is admitted only if the goal can still be
-    reached after it; ``goal`` None admits every string the step rule does."""
-    depth = spec.height - t_after  # the depth after this component
-    reach = _reach(spec, goal)[depth] if goal is not None and depth <= goal[0] else None
+    reached after it; ``goal`` None admits every string the step rule does,
+    and its callers pass min(t_after, g), all the rule reads."""
+    reach = _reach(spec, goal)[spec.height - t_after] if goal is not None else None
     ok = [False, 0, 0]
     for _, length, bits in _classes(spec):
         st = _comp_ok(spec, *state, length, bits, t_after)
@@ -415,80 +442,80 @@ def _next_string(rule: tuple, length: int, bits: int):
     return nxt
 
 
-def _next_key(spec: TreeSpec, state: tuple, t_after: int, key, goal=None):
-    """Least component key > ``key`` (the least key if ``key`` is None) that
-    may follow a string-tree prefix state towards ``goal``; None if there is
-    none."""
+def _next_child(spec: TreeSpec, state, t_after: int, key, goal=None):
+    """The least child after the child ``key`` (the least child if ``key`` is
+    None) of a vertex in prefix state ``state``, towards ``goal``: (its key,
+    its prefix state), or None if there is none.  ``t_after`` levels lie below
+    the children; a perfect tree admits every key below its capacity."""
+    if spec.kind == PERFECT:
+        key = 0 if key is None else key + 1
+        return (key, ()) if key < spec.capacity else None
+    if goal is None or spec.height - t_after > goal[0]:  # no goal this deep
+        goal, t_after = None, min(t_after, spec.strahler_g)
     rule = _rule(spec, state, t_after, goal)
     if key is None:  # the least string starting with 0, else the least after "0"
         s = _least_from(rule, 1, 0) or _next_string(rule, 1, 0)
     else:
         s = _next_string(rule, *_sdecode(spec, key))
-    return None if s is None else _skey(spec, *s)
+    return None if s is None else (_skey(spec, *s), _comp_ok(spec, *state, *s, t_after))
 
 
 @lru_cache(maxsize=None)
-def _first_keys(spec: TreeSpec, state: tuple, rest: int, goal) -> tuple:
-    """The least completion of a string-tree prefix state towards ``goal``:
-    its first child, then that child's first child, down ``rest`` levels."""
-    keys = []
-    for t_after in range(rest - 1, -1, -1):
-        key = _next_key(spec, state, t_after, None, goal)
-        state = _comp_ok(spec, *state, *_sdecode(spec, key), t_after)
+def _first_keys(spec: TreeSpec, state, rest: int, goal) -> tuple:
+    """The least completion of a prefix state towards ``goal``: its first
+    child, then that child's first child, down ``rest`` levels.  Once a first
+    child below the goal's depth keeps the state, it is the first child at
+    every level down to the g-th from the bottom, so it is emitted as one run
+    (a perfect tree's least child, 0, always is)."""
+    keys, t_after, g = [], rest, spec.strahler_g
+    while t_after:
+        t_after -= 1
+        key, nxt = _next_child(spec, state, t_after, None, goal)
+        if nxt == state and t_after > g and (goal is None or spec.height - t_after > goal[0]):
+            keys += [key] * (t_after - g)
+            t_after = g
         keys.append(key)
+        state = nxt
     return tuple(keys)
 
 
 def child_components(spec: TreeSpec, prefix) -> list:
     """Component keys of the children of a vertex, in tree order."""
-    depth = len(prefix)
-    if depth >= spec.height:
+    if len(prefix) >= spec.height:
         raise UsageError("prefix is already a leaf")
-    if spec.kind == PERFECT:
-        return list(range(spec.capacity))
-    state, t_after = _state(spec, tuple(prefix)), spec.height - depth - 1
-    out = [_next_key(spec, state, t_after, None)]
+    state, t_after = _states(spec, prefix)[-1], spec.height - len(prefix) - 1
+    out = [_next_child(spec, state, t_after, None)]
     while out[-1] is not None:
-        out.append(_next_key(spec, state, t_after, out[-1]))
-    return out[:-1]
+        out.append(_next_child(spec, state, t_after, out[-1][0]))
+    return [key for key, _ in out[:-1]]
 
 
-def min_leaf_below(spec: TreeSpec, prefix, goal=None) -> tuple:
-    """Smallest leaf of the subtree rooted at ``prefix`` (through a vertex
-    that meets the ``raise_leaf`` goal ``goal``, if one is given)."""
+def min_leaf_below(spec: TreeSpec, prefix) -> tuple:
+    """Smallest leaf of the subtree rooted at ``prefix``."""
     prefix = tuple(prefix)
-    rest = spec.height - len(prefix)
-    if rest < 0:
-        raise UsageError("prefix longer than tree height")
-    if spec.kind == PERFECT:
-        for c in prefix:
-            if not 0 <= c < spec.capacity:
-                raise UsageError("prefix is not a vertex of this tree")
-        return prefix + (0,) * rest
-    return prefix + _first_keys(spec, _state(spec, prefix), rest, goal)
+    return prefix + _first_keys(spec, _states(spec, prefix)[-1], spec.height - len(prefix), None)
 
 
 def min_leaf(spec: TreeSpec) -> tuple:
     return min_leaf_below(spec, ())
 
 
-def _next_sibling_key(spec: TreeSpec, prefix, key: int, t_after: int, goal):
-    """Smallest component key > ``key`` available at the parent ``prefix``."""
-    if spec.kind == PERFECT:
-        return key + 1 if key + 1 < spec.capacity else None
-    return _next_key(spec, _state(spec, prefix), t_after, key, goal)
-
-
-def next_subtree_min(spec: TreeSpec, prefix, goal=None):
+def next_subtree_min(spec: TreeSpec, prefix):
     """Smallest leaf strictly above everything under ``prefix``; that is, the
-    minimum leaf of the next vertex at the same depth (the next one through
-    a vertex that meets the ``raise_leaf`` goal ``goal``, if one is given).
-    TOP if none exists."""
-    pre = tuple(prefix)
-    for idx in range(len(pre) - 1, -1, -1):
-        nxt = _next_sibling_key(spec, pre[:idx], pre[idx], spec.height - idx - 1, goal)
+    minimum leaf of the next vertex at the same depth.  TOP if none exists."""
+    return _next_subtree(spec, tuple(prefix), _states(spec, prefix), None)
+
+
+def _next_subtree(spec: TreeSpec, prefix: tuple, states: list, goal):
+    """``next_subtree_min`` given the prefix states of ``prefix``, through a
+    vertex that meets the ``raise_leaf`` goal ``goal`` if it is not None: it
+    steps up from the last level, reading each parent's state from
+    ``states``."""
+    for idx in range(len(prefix) - 1, -1, -1):
+        t_after = spec.height - idx - 1
+        nxt = _next_child(spec, states[idx], t_after, prefix[idx], goal)
         if nxt is not None:
-            return min_leaf_below(spec, pre[:idx] + (nxt,), goal)
+            return prefix[:idx] + (nxt[0],) + _first_keys(spec, nxt[1], t_after, goal)
     return TOP
 
 
@@ -572,29 +599,37 @@ def chain_members(spec: TreeSpec, j: int, k: int) -> tuple:
     return tuple((member, min_leaf(member)) for member in members)
 
 
-def floor_leaf(spec: TreeSpec, leaf, j: int, goal=None):
-    """``leaf`` when it is the minimum of its own depth-(h-j) subtree (whose
-    root meets the ``raise_leaf`` goal ``goal``, if one is given), otherwise
-    the minimum of the next such subtree (TOP if there is none)."""
-    prefix = leaf[: spec.height - j]
-    if min_leaf_below(spec, prefix) == leaf and (
-            goal is None or _state(spec, prefix) in _reach(spec, goal)[-1]):
+def floor_leaf(spec: TreeSpec, leaf, j: int):
+    """``leaf`` when it is the minimum of its own depth-(h-j) subtree,
+    otherwise the minimum of the next such subtree (TOP if there is none)."""
+    return _floor(spec, leaf, _states(spec, leaf[: spec.height - j]), j, None)
+
+
+def _floor(spec: TreeSpec, leaf, states: list, j: int, goal):
+    """``floor_leaf`` given the prefix states of ``leaf`` down to depth h - j
+    at least, for subtrees whose root meets the ``raise_leaf`` goal ``goal``
+    if it is not None."""
+    depth = spec.height - j
+    if leaf[depth:] == _first_keys(spec, states[depth], j, None) and (
+            goal is None or states[depth] in _reach(spec, goal)[-1]):
         return leaf
-    return next_subtree_min(spec, prefix, goal)
+    return _next_subtree(spec, leaf[:depth], states, goal)
 
 
 def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
     """Smallest leaf >= ``leaf`` that is the minimum of a chain-k subtree of
     height j at position >= i; TOP when no such leaf exists.
 
-    On a string tree this is ``floor_leaf`` with a goal ``(h - j, g - k,
-    bits - i)``: the depth-(h-j) vertex must have g - k nonempty strings and
-    at most bits - i bits spent (a succinct tree has g = k = 0).  The
+    On a string tree this is the floor of ``floor_leaf`` with a goal
+    ``(h - j, g - k, bits - i)``: the depth-(h-j) vertex must have g - k
+    nonempty strings and at most bits - i bits spent (a succinct tree has
+    g = k = 0).  The
     successor walk then admits only strings after which that goal can still
     be reached, so the raise takes the same level steps as
-    ``next_subtree_min``.
+    ``next_subtree_min``.  The leaf's prefix states are computed once, by
+    its validation, and serve the floor test, the walk and its completion.
     """
-    validate_label(spec, leaf)
+    states = _leaf_states(spec, leaf)
     if not 1 <= j <= spec.height:
         raise UsageError(f"subtree height {j} out of range [1, {spec.height}]")
     if k not in chain_indices(spec, j):
@@ -603,9 +638,9 @@ def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
         raise UsageError("chain position must be >= 0")
     if leaf is TOP or i >= chain_length(spec, j, k):
         return TOP
-    if spec.kind == PERFECT:  # the single chain has the single position 0
-        return floor_leaf(spec, leaf, j)
-    return floor_leaf(spec, leaf, j, (spec.height - j, spec.strahler_g - k, spec.bits - i))
+    # the perfect tree's single chain has the single position 0: no goal
+    goal = None if spec.kind == PERFECT else (spec.height - j, spec.strahler_g - k, spec.bits - i)
+    return _floor(spec, leaf, states, j, goal)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from treelift.game import (StrategySubgraph, from_description, gen_random,
 from treelift.labeling import NodeLabeling, progress_measure_solve
 from treelift.oracle import (brute_raise, embed_check, naive_lfp,
                              zielonka_solve)
+from treelift.solver import strategy_iteration_solve
 from treelift.trees import TOP, TreeSpec, leaf_from_components as LF
 
 from .conftest import WORKED_TAU, materialize
@@ -27,6 +28,22 @@ def test_zielonka_self_loops():
     assert zielonka_solve(even).even_wins == frozenset({0})
     odd = parse_pgsolver("0 1 0 0;")
     assert zielonka_solve(odd).odd_wins == frozenset({0})
+
+
+def test_zielonka_recursion_deeper_than_the_python_stack():
+    # the recursion goes one level per distinct priority, on an explicit
+    # stack: 1,200 self-loops of even priorities 2, 4, ..., 2400 under one odd
+    # self-loop of priority 2401 recurse 1,201 deep, past Python's default
+    # limit of 1,000 frames.  (Self-loops of priorities 1..1,200 are as deep,
+    # but Zielonka's algorithm takes minutes on their interleaved winners.)
+    n = 1200
+    game = parse_pgsolver("".join(f"{i} {2 * i + 2} {i % 2} {i};\n" for i in range(n))
+                          + f"{n} {2 * n + 1} 1 {n};\n")
+    part = zielonka_solve(game)
+    res = strategy_iteration_solve(game, TreeSpec.perfect(game.n, game.d // 2),
+                                   record_phases=False)
+    assert part.even_wins == frozenset(res.even_wins) == frozenset(range(n))
+    assert part.odd_wins == frozenset({n})
 
 
 def test_zielonka_self_duality():

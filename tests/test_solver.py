@@ -662,6 +662,30 @@ def test_solver_rejects_decreasing_phase():
         _solve_with_decreasing_engine()
 
 
+class _SelectNothing:
+    """A pivot rule that switches no node, so the next phase repeats the last."""
+
+    name = "nothing"
+
+    def select(self, game, labeling, admissible):
+        return {}
+
+
+def test_pivot_that_changes_no_label_is_rejected():
+    # the solve ends because each phase after a pivot raises some label; a
+    # phase that raises none is rejected at once, on a one-leaf tree and at
+    # capacity n alike, instead of repeating until a cap on the phases
+    for game, spec in ((gen_random(8, 4, 2, 3), TreeSpec.perfect(1, 2)),
+                       (gen_random(8, 4, 2, 6), TreeSpec.perfect(8, 2))):
+        assert strategy_iteration_solve(game, spec).phases > 1
+        seen = []
+        counters = one_player.Counters()
+        counters.phase = lambda sub, before, after: seen.append(after)
+        with pytest.raises(InvariantError, match="phase 2 changed no label"):
+            strategy_iteration_solve(game, spec, rule=_SelectNothing(), counters=counters)
+        assert len(seen) == 2 and seen[0].values == seen[1].values
+
+
 _OPTIMIZED_PHASE_CHECK = """
 import sys
 from tests import test_solver

@@ -361,6 +361,23 @@ def test_string_trees_at_height_1500():
         # the next place's least string after the empty one starts with 1
         assert tighten_target(spec, deep, 3) == LF(spec, empty[1:] + ["10", ""])
 
+
+def test_walk_steps_each_prefix_once(monkeypatch):
+    # a successor walk steps its prefix forward once and reads the states as
+    # it climbs, and a least completion repeats a state-keeping first child as
+    # one run, so crossing a height-h tree costs O(h) step-rule calls in all,
+    # not O(h) per level
+    h = 1200
+    calls = []
+    step = trees._comp_ok
+    monkeypatch.setattr(trees, "_comp_ok", lambda *args: calls.append(1) or step(*args))
+    for spec in (TreeSpec.succinct(4, h), TreeSpec.strahler(1, 2, h)):
+        calls.clear()
+        got = tighten_target(spec, min_leaf(spec), 1)
+        assert len(calls) <= 2 * h, (spec, len(calls))
+        assert got == trees.next_subtree_min(spec, min_leaf(spec)[:1])
+
+
 def test_chain_info(p32, s72):
     assert chain_info(s72, 1) == (1, {0: 3})
     for j in range(3):
