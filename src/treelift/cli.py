@@ -110,14 +110,13 @@ def _solve_one(game, args):
         t0 = time.perf_counter()
         res = progress_measure_solve(game, spec, budget=args.budget)
         wall = (time.perf_counter() - t0) * 1000.0
-        part_even = [str(game.label_of(v)) for v in range(game.n)
-                     if res.labeling[v] is not trees.TOP]
-        part_odd = [str(game.label_of(v)) for v in range(game.n)
-                    if res.labeling[v] is trees.TOP]
+        names = list(map(str, map(game.label_of, range(game.n))))
+        named = list(zip(names, res.labeling.values))
         return {
             "tree": spec.as_dict(),
-            "winners": {"even": part_even, "odd": part_odd},
-            "labels": res.labeling.as_dict(game),
+            "winners": {"even": [name for name, lab in named if lab is not trees.TOP],
+                        "odd": [name for name, lab in named if lab is trees.TOP]},
+            "labels": res.labeling.as_dict(names),
             "phases": 1,
             "lifts": res.lifts,
             "drops": 0,
@@ -138,6 +137,35 @@ def _solve_one(game, args):
     return result.to_json_dict(game, spec)
 
 
+_CONTAINERS = frozenset((dict, list))
+
+
+def _json_text(x, pad: str = "\n") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)`` for ``x`` built of dicts
+    with string keys, lists and scalars, at the line break and indentation
+    ``pad`` of its own level.
+
+    With an indent CPython encodes in pure Python; without one its C encoder
+    runs, and the item separator can carry the line break and indentation.
+    So a container that holds no container is one C call, and only the
+    levels above it are joined here."""
+    kind = type(x)
+    if kind not in _CONTAINERS:
+        return json.dumps(x)
+    if not x:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    values = x.values() if kind is dict else x
+    if _CONTAINERS.isdisjoint(map(type, values)):
+        flat = json.dumps(x, sort_keys=True, separators=("," + inner, ": "))
+        # the brackets of an indented container sit on lines of their own
+        return flat[0] + inner + flat[1:-1] + pad + flat[-1]
+    if kind is dict:
+        body = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + pad + "]"
+
+
 def cmd_solve(args) -> int:
     game = gamemod.parse_pgsolver(_read_input(args.input))
     if args.strahler_g is not None and args.tree != trees.STRAHLER:
@@ -153,7 +181,7 @@ def cmd_solve(args) -> int:
                 raise UsageError(f"{flag} requires --algo strategy")
     payload = _solve_one(game, args)
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         even = " ".join(payload["winners"]["even"])
         odd = " ".join(payload["winners"]["odd"])

@@ -132,61 +132,58 @@ def from_description(nodes, arcs, names=None):
 
 
 _NODE_RE = re.compile(
-    r"^(?P<id>\d+)\s+(?P<prio>-?\d+)\s+(?P<owner>\d+)\s*"
-    r"(?P<succs>[-\d,\s]*?)\s*(?:\"(?P<name>[^\"]*)\")?$"
+    r"(\d+)\s+(-?\d+)\s+(\d+)\s*([-\d,\s]*)\s*(?:\"([^\"]*)\")?"
 )
-_SUCC_RE = re.compile(r"-?\d+")
 _HEADER_RE = re.compile(r"parity\s+\d+")
 
 
 def parse_pgsolver(text: str) -> ParityGame:
-    """Parse PGSolver text into a validated game."""
-    statements = [s.strip() for s in text.split(";")]
-    entries = {}  # orig id -> (prio, owner, succs, name)
-    order = []
-    for stmt in statements:
+    """Parse PGSolver text into a validated game: one match per statement,
+    then one pass that resolves the successors to dense ids."""
+    node, header = _NODE_RE.fullmatch, _HEADER_RE.fullmatch
+    dense = {}  # orig id -> dense id, in order of appearance
+    owners, raw, succ, names = [], [], [], []
+    for stmt in text.split(";"):
+        stmt = stmt.strip()
         if not stmt:
             continue
-        if _HEADER_RE.fullmatch(stmt):
-            continue
-        m = _NODE_RE.match(stmt)
-        if not m:
+        m = node(stmt)
+        if m is None:
+            if header(stmt):
+                continue
             raise FormatError(f"cannot parse statement {stmt!r}")
-        v = int(m.group("id"))
-        prio = int(m.group("prio"))
-        owner = int(m.group("owner"))
+        v, prio, owner, succs, name = m.groups()
+        v, prio, owner = int(v), int(prio), int(owner)
         if owner not in (EVEN, ODD):
             raise FormatError(f"node {v}: owner must be 0 or 1, got {owner}")
         if prio < 0:
             raise FormatError(f"node {v}: priority {prio} is negative")
         # a missing ';' joins two statements, which leaves a space (or a
-        # bare '-') inside one successor
-        tokens = [tok for tok in (t.strip() for t in m.group("succs").split(",")) if tok]
-        if not all(_SUCC_RE.fullmatch(tok) for tok in tokens):
-            raise FormatError(f"cannot parse statement {stmt!r}")
-        succs = [int(tok) for tok in tokens]
-        if v in entries:
+        # bare '-') inside one successor, and int() rejects both; str.strip
+        # also strips \x1c-\x1f, which \s admits and int() does not
+        try:
+            succs = [int(tok) for tok in map(str.strip, succs.split(",")) if tok]
+        except ValueError:
+            raise FormatError(f"cannot parse statement {stmt!r}") from None
+        if v in dense:
             raise FormatError(f"duplicate node id {v}")
-        entries[v] = (prio, owner, succs, m.group("name"))
-        order.append(v)
-    if not entries:
-        raise FormatError("no nodes in input")
-
-    dense = {orig: i for i, orig in enumerate(order)}
-    owners, raw, succ, names = [], [], [], []
-    for orig in order:
-        prio, owner, succs, name = entries[orig]
-        if not succs:
-            raise FormatError(f"node {orig} is a sink")
-        for w in succs:
-            if w not in dense:
-                raise FormatError(f"node {orig}: successor {w} does not exist")
+        dense[v] = len(dense)
         owners.append(owner)
         raw.append(prio)
-        succ.append([dense[w] for w in succs])
+        succ.append(succs)
         names.append(name)
+    if not dense:
+        raise FormatError("no nodes in input")
+
+    for orig, succs in zip(dense, succ):
+        if not succs:
+            raise FormatError(f"node {orig} is a sink")
+        try:
+            succs[:] = [dense[w] for w in succs]
+        except KeyError as exc:
+            raise FormatError(f"node {orig}: successor {exc.args[0]} does not exist") from None
     return _build(owners, compress_priorities(raw), succ,
-                  names=names, orig_ids=order, orig_priorities=raw)
+                  names=names, orig_ids=tuple(dense), orig_priorities=raw)
 
 
 def write_pgsolver(game: ParityGame) -> str:

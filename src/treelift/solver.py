@@ -181,16 +181,16 @@ class SolveResult:
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self, game: ParityGame, spec: TreeSpec) -> dict:
-        lab = lambda v: str(game.label_of(v))
+        names = list(map(str, map(game.label_of, range(game.n))))
         return {
             "tree": spec.as_dict(),
             "winners": {
-                "even": [lab(v) for v in self.even_wins],
-                "odd": [lab(v) for v in self.odd_wins],
+                "even": [names[v] for v in self.even_wins],
+                "odd": [names[v] for v in self.odd_wins],
             },
-            "strategy_odd": {lab(v): lab(w) for v, w in sorted(self.strategy_odd.items())},
-            "strategy_even": {lab(v): lab(w) for v, w in sorted(self.even_strategy.items())},
-            "labels": self.labeling.as_dict(game),
+            "strategy_odd": {names[v]: names[w] for v, w in sorted(self.strategy_odd.items())},
+            "strategy_even": {names[v]: names[w] for v, w in sorted(self.even_strategy.items())},
+            "labels": self.labeling.as_dict(names),
             "phases": self.phases,
             "lifts": self.lifts,
             "drops": self.drops,

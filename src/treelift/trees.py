@@ -36,7 +36,9 @@ reached, read from a table of prefix states built level by level, upward
 from the goal, over the finite state set.  The raise steps its leaf once,
 when validating it, and its floor test, walk and completion read that pass.
 ``chain_members`` gives a chain's member trees with their least leaves,
-memoised per spec like ``leaf_count``.
+memoised per spec like ``leaf_count``.  ``raise_leaf`` and ``floor_leaf``
+are memoised like ``tighten_target``: an engine asks the same few raises in
+every phase and every game.
 
 A leaf is represented as a tuple of per-component integer *keys* chosen so
 that Python's native tuple comparison realises the tree order.  For binary
@@ -51,7 +53,7 @@ and the value types immutable, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import UsageError
 
@@ -289,6 +291,8 @@ def _step(spec: TreeSpec, state: tuple, key: int, t_after: int):
     or None if it may not follow ``state``; raises UsageError if ``key``
     encodes no string.  Memoised by its four small values (callers pass
     min(t_after, g), all the rule reads)."""
+    if key <= -(1 << spec.keylen):  # no string's key; _sdecode would shift by -1
+        raise UsageError(f"component key {key} does not decode to a string")
     length, bits = _sdecode(spec, key)
     if not 0 <= length <= spec.max_complen or bits >> max(length, 0):
         raise UsageError(f"component key {key} does not decode to a string")
@@ -599,6 +603,24 @@ def chain_members(spec: TreeSpec, j: int, k: int) -> tuple:
     return tuple((member, min_leaf(member)) for member in members)
 
 
+def _memoised(fn):
+    """``fn``, a pure function, memoised like ``tighten_target``.  A call
+    with an unhashable argument, such as a list for a leaf, skips the memo,
+    so that ``fn`` rejects it as it would unmemoised (``raise_leaf`` with a
+    UsageError) instead of the cache with a TypeError."""
+    cached = lru_cache(maxsize=1 << 10)(fn)
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return cached(*args, **kwargs)
+        except TypeError:  # fn is pure: if fn itself raised it, it raises it again
+            return fn(*args, **kwargs)
+
+    return call
+
+
+@_memoised
 def floor_leaf(spec: TreeSpec, leaf, j: int):
     """``leaf`` when it is the minimum of its own depth-(h-j) subtree,
     otherwise the minimum of the next such subtree (TOP if there is none)."""
@@ -616,6 +638,7 @@ def _floor(spec: TreeSpec, leaf, states: list, j: int, goal):
     return _next_subtree(spec, leaf[:depth], states, goal)
 
 
+@_memoised
 def raise_leaf(spec: TreeSpec, leaf, i: int, j: int, k: int):
     """Smallest leaf >= ``leaf`` that is the minimum of a chain-k subtree of
     height j at position >= i; TOP when no such leaf exists.

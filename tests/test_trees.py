@@ -503,3 +503,31 @@ def test_equal_spec_reuses_tighten_cache():
         second = strategy_iteration_solve(game, make(), engine="lc")
         assert tighten_target.cache_info().misses == misses
         assert second.labeling.values == first.labeling.values
+
+
+@pytest.mark.parametrize("spec", [TreeSpec.succinct(8, 3), TreeSpec.strahler(2, 8, 3)])
+def test_key_at_minus_two_to_the_keylen_is_a_usage_error(spec):
+    # no string has this key, and decoding it would shift by -1: every entry
+    # point that steps a prefix rejects it as it rejects any other bad key
+    bad = -(1 << spec.keylen)
+    leaf = (bad,) + min_leaf(spec)[1:]
+    k = trees.chain_indices(spec, 1)[0]
+    for call in (lambda: trees.validate_label(spec, leaf),
+                 lambda: trees.next_subtree_min(spec, (bad,)),
+                 lambda: tighten_target(spec, leaf, 1),
+                 lambda: raise_leaf(spec, leaf, 0, 1, k)):
+        with pytest.raises(UsageError, match="does not decode to a string"):
+            call()
+
+
+def test_memoised_raise_rejects_unhashable_leaves(p32, s72):
+    # the memo must not turn the UsageError for a non-leaf into a TypeError
+    for spec in (p32, s72):
+        leaf = min_leaf(spec)
+        for bad in (list(leaf), (leaf[0], [leaf[1]])):
+            with pytest.raises(UsageError):
+                raise_leaf(spec, bad, 0, 1, 0)
+            with pytest.raises(UsageError):
+                raise_leaf(spec=spec, leaf=bad, i=0, j=1, k=0)
+        assert raise_leaf(spec=spec, leaf=leaf, i=0, j=1, k=0) == raise_leaf(spec, leaf, 0, 1, 0)
+
