@@ -22,6 +22,7 @@ from . import game as gamemod
 from . import one_player, oracle, solver, trees
 from .errors import FormatError, LiftBudgetExceeded, TreeliftError, UsageError
 from .game import ParityGame
+from .labeling import progress_measure_solve
 from .trees import TreeSpec
 
 
@@ -103,38 +104,47 @@ class _RacedAuxDump(_AuxDump, oracle.NaiveRace):
 
 
 def _solve_one(game, args):
+    """The ``solve`` JSON payload of ``game`` under ``args``, for either
+    algorithm.  Names are built once and each distinct label is rendered
+    once.  ``--algo progress`` has no strategies, one phase and no drops."""
     spec = build_spec(game, args.tree, args.capacity, args.strahler_g)
+    names = list(map(str, map(game.label_of, range(game.n))))
     if args.algo == "progress":
-        from .labeling import progress_measure_solve
-
         t0 = time.perf_counter()
         res = progress_measure_solve(game, spec, budget=args.budget)
-        wall = (time.perf_counter() - t0) * 1000.0
-        names = list(map(str, map(game.label_of, range(game.n))))
-        named = list(zip(names, res.labeling.values))
-        return {
-            "tree": spec.as_dict(),
-            "winners": {"even": [name for name, lab in named if lab is not trees.TOP],
-                        "odd": [name for name, lab in named if lab is trees.TOP]},
-            "labels": res.labeling.as_dict(names),
-            "phases": 1,
-            "lifts": res.lifts,
-            "drops": 0,
-            "wall_ms": wall,
-            "warnings": [] if spec.capacity >= game.n else
-                        [f"tree capacity {spec.capacity} < n = {game.n}"],
-        }
-    rule = _pivot_rule(args.pivot, args.seed)
-    # neither flag: None, so that the solver builds its own one_player.Counters,
-    # the class bench/spans.py hooks to read drops and bf_runs
-    if args.dump_aux:
-        counters = _RacedAuxDump(game) if args.race_naive else _AuxDump(game)
+        payload = {"phases": 1, "drops": 0,
+                   "wall_ms": (time.perf_counter() - t0) * 1000.0,
+                   "warnings": [] if spec.capacity >= game.n else
+                               [f"tree capacity {spec.capacity} < n = {game.n}"]}
     else:
-        counters = oracle.NaiveRace() if args.race_naive else None
-    result = solver.strategy_iteration_solve(
-        game, spec, rule=rule, engine=args.engine,
-        record_phases=False, counters=counters)
-    return result.to_json_dict(game, spec)
+        rule = _pivot_rule(args.pivot, args.seed)
+        # neither flag: None, so that the solver builds its own one_player.Counters,
+        # the class bench/spans.py hooks to read drops and bf_runs
+        if args.dump_aux:
+            counters = _RacedAuxDump(game) if args.race_naive else _AuxDump(game)
+        else:
+            counters = oracle.NaiveRace() if args.race_naive else None
+        res = solver.strategy_iteration_solve(
+            game, spec, rule=rule, engine=args.engine,
+            record_phases=False, counters=counters)
+        payload = {
+            "strategy_odd": {names[v]: names[w] for v, w in sorted(res.strategy_odd.items())},
+            "strategy_even": {names[v]: names[w] for v, w in sorted(res.even_strategy.items())},
+            "phases": res.phases, "drops": res.drops, "wall_ms": res.wall_ms,
+            "warnings": list(res.warnings),
+        }
+    values = res.labeling.values
+    text = {label: trees.format_label(spec, label) for label in set(values)}
+    tree = {"kind": spec.kind, "capacity": spec.capacity, "height": spec.height}
+    if spec.kind == trees.STRAHLER:
+        tree["strahler_g"] = spec.strahler_g
+    named = list(zip(names, values))
+    payload.update(
+        tree=tree, lifts=res.lifts,
+        winners={"even": [name for name, lab in named if lab is not trees.TOP],
+                 "odd": [name for name, lab in named if lab is trees.TOP]},
+        labels=dict(zip(names, map(text.__getitem__, values))))
+    return payload
 
 
 _CONTAINERS = frozenset((dict, list))
@@ -263,8 +273,6 @@ def cmd_bench(args) -> int:
             for algo in algos:
                 t0 = time.perf_counter()
                 if algo == "progress":
-                    from .labeling import progress_measure_solve
-
                     res = progress_measure_solve(game, spec)
                     phases, lifts = 1, res.lifts
                 elif algo == "strategy":

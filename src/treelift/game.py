@@ -153,16 +153,20 @@ def parse_pgsolver(text: str) -> ParityGame:
                 continue
             raise FormatError(f"cannot parse statement {stmt!r}")
         v, prio, owner, succs, name = m.groups()
-        v, prio, owner = int(v), int(prio), int(owner)
-        if owner not in (EVEN, ODD):
-            raise FormatError(f"node {v}: owner must be 0 or 1, got {owner}")
-        if prio < 0:
-            raise FormatError(f"node {v}: priority {prio} is negative")
-        # a missing ';' joins two statements, which leaves a space (or a
-        # bare '-') inside one successor, and int() rejects both; str.strip
-        # also strips \x1c-\x1f, which \s admits and int() does not
+        # int() rejects a field of more than 4,300 digits; a missing ';'
+        # joins two statements, which leaves a space (or a bare '-') inside
+        # one successor, and int() rejects both; str.strip also strips
+        # \x1c-\x1f, which \s admits and int() does not.  The owner and
+        # priority errors come before the successors' own.
         try:
+            v, prio, owner = int(v), int(prio), int(owner)
+            if owner not in (EVEN, ODD):
+                raise FormatError(f"node {v}: owner must be 0 or 1, got {owner}")
+            if prio < 0:
+                raise FormatError(f"node {v}: priority {prio} is negative")
             succs = [int(tok) for tok in map(str.strip, succs.split(",")) if tok]
+        except FormatError:
+            raise
         except ValueError:
             raise FormatError(f"cannot parse statement {stmt!r}") from None
         if v in dense:

@@ -60,13 +60,6 @@ class NodeLabeling:
     def leq(self, other: "NodeLabeling") -> bool:
         return all(a <= b for a, b in zip(self.values, other.values))
 
-    def as_dict(self, names) -> dict:
-        """{node name: canonical label string}, the CLI wire format, given
-        each node's name ``str(game.label_of(v))`` in ``names``.  Each
-        distinct label is formatted once."""
-        text = {label: trees.format_label(self.spec, label) for label in set(self.values)}
-        return dict(zip(names, map(text.__getitem__, self.values)))
-
 
 def arc_status(graph, labeling: NodeLabeling, v: int, w: int) -> ArcStatus:
     """Classify arc vw against the labeling; (TOP, TOP) counts as tight."""

@@ -200,8 +200,7 @@ class BaseNodeReport:
     arcs (those between its nodes that enter no other top) by head:
     {head: ((tail, pi(tail)), ...)}, heads and each head's tails in
     increasing order.  Those tuples are the component's in-arc table's own,
-    shared by all its base nodes.  ``k_succ[w]`` lists w's successors inside
-    ``k_comp[w]``, in successor order."""
+    shared by all its base nodes."""
 
     base_nodes: tuple
     k_comp: dict = field(compare=False)
@@ -209,7 +208,6 @@ class BaseNodeReport:
     j_in: dict = field(compare=False)
     j_tops: dict = field(compare=False)
     components: tuple = field(compare=False)
-    k_succ: dict = field(compare=False)
 
 
 def _base_components(nodes, succ, priorities):
@@ -235,10 +233,10 @@ def find_base_nodes(sub) -> BaseNodeReport:
     and in-arc table are built once, and each J_w is the reverse search from
     w over that table that does not expand the other tops, collecting the
     tops it meets."""
-    prio, pred, succ = sub.priorities, sub.pred, sub.succ
-    k_comp, j_nodes, j_in, j_tops, k_succ = {}, {}, {}, {}, {}
+    prio, pred = sub.priorities, sub.pred
+    k_comp, j_nodes, j_in, j_tops = {}, {}, {}, {}
     shared = {}  # id(K) -> (members, tops, in-arc table, base nodes)
-    for w, K in _base_components(sub.nodes, succ, prio).items():
+    for w, K in _base_components(sub.nodes, sub.succ, prio).items():
         if id(K) not in shared:
             members = frozenset(K)
             shared[id(K)] = (members, frozenset(v for v in K if prio[v] == prio[w]),
@@ -256,12 +254,11 @@ def find_base_nodes(sub) -> BaseNodeReport:
                     else:
                         stack.append(u)
         k_comp[w] = members
-        k_succ[w] = [x for x in succ[w] if x in members]
         j_nodes[w] = frozenset(reach)
         j_tops[w] = frozenset(met)
         j_in[w] = {x: table[x] for x in sorted(reach) if x == w or x not in tops}
     components = tuple(sorted(tuple(group) for *_, group in shared.values()))
-    return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops, components, k_succ)
+    return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops, components)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +349,15 @@ def _thresholds(report, w, members, counters):
     return dict.fromkeys(nodes, INF) | out
 
 
-def _arc_costs(report, w, theta):
+def _arc_costs(sub, report, w, theta):
     """The auxiliary arcs (v, w) for the tops v of J_w (w itself only when it
     keeps an out-arc there), each costing the least ``theta`` over v's
-    out-neighbours in J_w: its successors in K that are in J_w and are w or
-    not a top."""
-    nodes, tops, k_succ = report.j_nodes[w], report.j_tops[w], report.k_succ
+    out-neighbours in J_w: its successors in ``sub`` that are in J_w (so in
+    K) and are w or not a top."""
+    nodes, tops, succ = report.j_nodes[w], report.j_tops[w], sub.succ
     costs = {}
     for v in sorted(tops):
-        outs = [x for x in k_succ[v] if x in nodes and (x == w or x not in tops)]
+        outs = [x for x in succ[v] if x in nodes and (x == w or x not in tops)]
         if v != w or outs:
             costs[(v, w)] = min(map(theta, outs), default=INF)
     return costs
@@ -375,7 +372,7 @@ def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
     costs = {}
     for w in comp:
         theta = _thresholds(report, w, members, counters)
-        costs.update(_arc_costs(report, w, theta.__getitem__))
+        costs.update(_arc_costs(sub, report, w, theta.__getitem__))
     return costs
 
 
@@ -389,7 +386,7 @@ def arc_costs_succinct(sub, report, w, spec, counters=None):
     member = trees.chain_members(spec, sub.priorities[w] // 2, 0)[B]
     values = dict.fromkeys(report.j_nodes[w], TOP)
     _probe(values, report, w, member, counters or Counters())
-    return _arc_costs(report, w, lambda u: INF if values[u] is TOP
+    return _arc_costs(sub, report, w, lambda u: INF if values[u] is TOP
                       else B - trees.zeta(member[0], values[u]))
 
 

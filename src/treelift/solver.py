@@ -180,24 +180,6 @@ class SolveResult:
     phase_labels: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def to_json_dict(self, game: ParityGame, spec: TreeSpec) -> dict:
-        names = list(map(str, map(game.label_of, range(game.n))))
-        return {
-            "tree": spec.as_dict(),
-            "winners": {
-                "even": [names[v] for v in self.even_wins],
-                "odd": [names[v] for v in self.odd_wins],
-            },
-            "strategy_odd": {names[v]: names[w] for v, w in sorted(self.strategy_odd.items())},
-            "strategy_even": {names[v]: names[w] for v, w in sorted(self.even_strategy.items())},
-            "labels": self.labeling.as_dict(names),
-            "phases": self.phases,
-            "lifts": self.lifts,
-            "drops": self.drops,
-            "wall_ms": self.wall_ms,
-            "warnings": list(self.warnings),
-        }
-
 
 def _engine_for(spec: TreeSpec, engine: str, n: int):
     if engine == "auto":
@@ -258,7 +240,7 @@ def strategy_iteration_solve(game: ParityGame, spec: TreeSpec, tau1=None,
         changed = is_feasible(game, sub.tau, mu, new, heads, dirty)
         if phases > 1 and not changed:
             raise InvariantError(f"phase {phases} changed no label after a pivot")
-        lifts += sum(1 for v in changed if v in region.inner)
+        lifts += len(changed)
         mu = new
         if record_phases:
             phase_labels.append(mu)

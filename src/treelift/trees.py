@@ -164,13 +164,6 @@ class TreeSpec:
             )
         return TreeSpec(STRAHLER, capacity, height, g)
 
-    def as_dict(self) -> dict:
-        """The ``tree`` object of the ``solve`` JSON output."""
-        out = {"kind": self.kind, "capacity": self.capacity, "height": self.height}
-        if self.kind == STRAHLER:
-            out["strahler_g"] = self.strahler_g
-        return out
-
 
 # ---------------------------------------------------------------------------
 # component encoding

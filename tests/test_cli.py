@@ -120,15 +120,17 @@ def test_strategy_flags_reject_progress_algo(worked_path, flags, capsys):
         assert main(["solve", worked_path, "--algo", "progress", *default]) == 0
 
 
-def test_solve_tree_object_same_for_both_algos(worked_path):
-    objs = []
-    for algo in ("strategy", "progress"):
-        rc, out, err = run_cli(["solve", worked_path, "--tree", "strahler",
-                                "--algo", algo])
-        assert rc == 0, err
-        objs.append(json.loads(out)["tree"])
-    assert objs[0] == objs[1]
-    assert objs[0]["strahler_g"] == 2
+def test_solve_tree_object_same_for_both_algos(worked_path, capsys):
+    """The payload's ``tree`` object names the spec's kind, capacity and
+    height, and its ``strahler_g`` on Strahler trees only."""
+    for tree, want in (("perfect", {"kind": "perfect", "capacity": 8, "height": 2}),
+                       ("succinct", {"kind": "succinct", "capacity": 8, "height": 2}),
+                       ("strahler", {"kind": "strahler", "capacity": 8, "height": 2,
+                                     "strahler_g": 2})):
+        for algo in ("strategy", "progress"):
+            assert main(["solve", worked_path, "--tree", tree, "--capacity", "8",
+                         "--algo", algo]) == 0
+            assert json.loads(capsys.readouterr().out)["tree"] == want
 
 
 def test_verify_random_ok():
@@ -316,6 +318,18 @@ def test_missing_semicolon_is_format_error(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: cannot parse statement '0 1 0 0\\n1 2 1 1'\n"
+
+
+_LONG = "1" + "0" * 4400  # beyond int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("stmt", [f"{_LONG} 2 0 0;", f"0 {_LONG} 0 0;",
+                                  f"0 2 {_LONG} 0;", f"0 2 0 {_LONG};"],
+                         ids=["id", "priority", "owner", "successor"])
+def test_oversized_field_is_format_error(stmt):
+    rc, out, err = run_cli(["solve", "-"], stdin=stmt)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot parse statement") and "Traceback" not in err
 
 
 def test_inprocess_calls_share_no_state(tmp_path, capsys):
