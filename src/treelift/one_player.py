@@ -11,13 +11,15 @@ labeling ``mu`` on a strategy subgraph (no loose arcs allowed in the input):
   the bottleneck search takes one SCC pass per distinct cost, at most
   L = floor(log2 capacity) + 1 of them, each adding that cost's arcs to the
   adjacency of the pass before.  Each cycle's width search runs on J_w, a
-  view of the in-arc table that w's component builds once for all its base
-  nodes, and probes the chain's member trees, which ``trees.chain_members``
-  builds once per spec with their least leaves.  A probe starts its worklist
-  at w alone and enters the nodes it made finite into the threshold table,
-  so it costs its relaxations, one copy of J_w's all-TOP labels and one
-  visit per node it made finite.  A worklist Bellman-Ford then drops all
-  labels to the fixed point.
+  view of the in-arc table of bare tails that w's component builds once for
+  all its base nodes, and probes the chain's member trees, which
+  ``trees.chain_members`` builds once per spec with their least leaves.  A
+  probe starts its worklist at w alone and enters the nodes it made finite
+  into the threshold table, so it costs its relaxations, one copy of J_w's
+  all-TOP labels and one visit per node it made finite.  A worklist
+  Bellman-Ford then drops all labels to the fixed point.  Per arc, a
+  relaxation reads the tail's priority and the tight target from the head
+  label's row (``trees._rows``), fetched once per head, and compares.
 * ``least_fixed_point_perfect``: label-setting (Dijkstra with interlaced
   topological potentials); perfect trees of capacity at least n only.
 
@@ -51,7 +53,7 @@ from operator import itemgetter
 from . import trees
 from .errors import InvariantError, UsageError
 from .labeling import NodeLabeling
-from .trees import TOP, TreeSpec, tighten_target
+from .trees import _NO_ROW, TOP, TreeSpec, _fill_row, _rows, tighten_target
 
 INF = inf
 
@@ -195,12 +197,13 @@ class BaseNodeReport:
     its nodes of priority pi(w), are the base nodes that share it, as one
     object; ``components`` lists those groups, each in increasing order, by
     their least node.  J_w is the part of it that w's width search runs on:
-    ``j_nodes[w]`` holds the nodes with a path to w whose inner nodes avoid
-    the other tops, ``j_tops[w]`` the tops among them, and ``j_in[w]`` J_w's
-    arcs (those between its nodes that enter no other top) by head:
-    {head: ((tail, pi(tail)), ...)}, heads and each head's tails in
-    increasing order.  Those tuples are the component's in-arc table's own,
-    shared by all its base nodes."""
+    ``j_nodes[w]``, a set, holds the nodes with a path to w whose inner
+    nodes avoid the other tops, ``j_tops[w]``, a set, the tops among them,
+    and ``j_in[w]`` J_w's arcs (those between its nodes that enter no other
+    top) by head: {head: (tail, ...)}, with a key for every node of J_w, the
+    other tops mapped to (), each head's tails in increasing order and the
+    keys in no particular order.  The sets are the search's own and the
+    tuples the component's in-arc table's, shared by all its base nodes."""
 
     base_nodes: tuple
     k_comp: dict = field(compare=False)
@@ -232,7 +235,7 @@ def find_base_nodes(sub) -> BaseNodeReport:
     The base nodes of one component are its tops; its member set, top set
     and in-arc table are built once, and each J_w is the reverse search from
     w over that table that does not expand the other tops, collecting the
-    tops it meets."""
+    tops it meets.  The search's own sets and table are the report's."""
     prio, pred = sub.priorities, sub.pred
     k_comp, j_nodes, j_in, j_tops = {}, {}, {}, {}
     shared = {}  # id(K) -> (members, tops, in-arc table, base nodes)
@@ -240,23 +243,25 @@ def find_base_nodes(sub) -> BaseNodeReport:
         if id(K) not in shared:
             members = frozenset(K)
             shared[id(K)] = (members, frozenset(v for v in K if prio[v] == prio[w]),
-                             {x: tuple([(u, prio[u]) for u in pred[x] if u in members])
-                              for x in K}, [])
+                             {x: tuple([u for u in pred[x] if u in members]) for x in K},
+                             [])
         members, tops, table, group = shared[id(K)]
         group.append(w)
-        reach, stack, met = {w}, [w], [w]
+        reach, met, arcs, stack = {w}, {w}, {w: table[w]}, [w]
         while stack:
-            for u, _ in table[stack.pop()]:
+            for u in table[stack.pop()]:
                 if u not in reach:
                     reach.add(u)
                     if u in tops:  # another top joins J_w, its in-arcs do not
-                        met.append(u)
+                        met.add(u)
+                        arcs[u] = ()
                     else:
+                        arcs[u] = table[u]
                         stack.append(u)
         k_comp[w] = members
-        j_nodes[w] = frozenset(reach)
-        j_tops[w] = frozenset(met)
-        j_in[w] = {x: table[x] for x in sorted(reach) if x == w or x not in tops}
+        j_nodes[w] = reach
+        j_tops[w] = met
+        j_in[w] = arcs
     components = tuple(sorted(tuple(group) for *_, group in shared.values()))
     return BaseNodeReport(tuple(k_comp), k_comp, j_nodes, j_in, j_tops, components)
 
@@ -266,27 +271,35 @@ def find_base_nodes(sub) -> BaseNodeReport:
 # ---------------------------------------------------------------------------
 
 
-def _bf(values, in_arcs, spec, counters, heads):
-    """Drop tail labels over the arcs ``in_arcs`` lists ({head: [(tail,
-    priority of tail), ...]}, heads and tails in increasing order) to the
-    greatest fixed point below ``values`` (mutated) with a round-based
-    FIFO worklist: round one examines the in-arcs of ``heads``, which must
-    be every head whose label is not TOP, in increasing order; each later
-    round only the in-arcs of the tails that dropped in the round before, in
-    first-drop order.  Drop is monotone in the head label, so any fair order
-    reaches the fixed point of the fixed-order sweep over every arc.  Every
-    write strictly lowers a label in a finite tree, so the frontier empties.
-    Each call counts one run in ``counters.bf_runs``.  Returns the nodes
-    whose labels dropped, each once, in first-drop order."""
+def _bf(values, in_arcs, prio, spec, counters, heads):
+    """Drop tail labels over the arcs ``in_arcs`` lists ({head: (tail, ...)}
+    or a list indexed by head, each head's tails in increasing order, with
+    an entry for every head that drops; ``prio`` gives the tails'
+    priorities) to the greatest fixed point below ``values`` (mutated) with
+    a round-based FIFO worklist: round one examines the in-arcs of
+    ``heads``, which must be every head whose label is not TOP, in
+    increasing order; each later round only the in-arcs of the tails that
+    dropped in the round before, in first-drop order.  Drop is monotone in
+    the head label, so any fair order reaches the fixed point of the
+    fixed-order sweep over every arc.  Every write strictly lowers a label
+    in a finite tree, so the frontier empties.  Each call counts one run in
+    ``counters.bf_runs``.  Returns the nodes whose labels dropped, each
+    once, in first-drop order."""
     counters.bf_runs += 1
     frontier, lowered = heads, {}
-    drops = 0
+    drops, rows = 0, _rows(spec)
     while frontier:
         dropped = {}
         for w in frontier:
             head = values[w]
-            for v, p in in_arcs.get(w, ()):
-                t = tighten_target(spec, head, p)
+            row = rows.get(head, _NO_ROW)
+            for v in in_arcs[w]:
+                p = prio[v]
+                try:
+                    t = row[p]
+                except KeyError:
+                    row = _fill_row(spec, head, p)
+                    t = row[p]
                 cur = values[v]
                 # TOP's comparisons are Python calls: TOP is decided by identity
                 if t is not TOP and (cur is TOP or t < cur):
@@ -302,13 +315,13 @@ def _bf(values, in_arcs, spec, counters, heads):
 
 def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
     """Drop every label of the strategy subgraph to the greatest fixed point
-    below ``labeling`` with the worklist of ``_bf``: each round examines only
-    the in-arcs of the labels that dropped in the round before."""
-    out, prio = labeling.copy(), sub.priorities
+    below ``labeling`` with the worklist of ``_bf`` over the subgraph's own
+    predecessor lists: each round examines only the in-arcs of the labels
+    that dropped in the round before."""
+    out = labeling.copy()
     values = out.values
-    in_arcs = {x: [(u, prio[u]) for u in sub.pred[x]] for x in sub.nodes}
-    _bf(values, in_arcs, out.spec, counters or Counters(),
-        [x for x in in_arcs if values[x] is not TOP])
+    _bf(values, sub.pred, sub.priorities, out.spec, counters or Counters(),
+        [x for x in sub.nodes if values[x] is not TOP])
     return out
 
 
@@ -317,17 +330,17 @@ def bellman_ford(sub, labeling: NodeLabeling, counters=None) -> NodeLabeling:
 # ---------------------------------------------------------------------------
 
 
-def _probe(values, report, w, member, counters):
+def _probe(values, sub, report, w, member, counters):
     """Bellman-Ford on J_w in a chain member tree, given as (member spec,
     least leaf): ``values`` (mutated) holds J_w's nodes at TOP, w is pinned to
     the least leaf and is the only head of round one.  Returns the nodes that
     turned finite."""
     domain, least = member
     values[w] = least
-    return _bf(values, report.j_in[w], domain, counters, (w,))
+    return _bf(values, report.j_in[w], sub.priorities, domain, counters, (w,))
 
 
-def _thresholds(report, w, members, counters):
+def _thresholds(sub, report, w, members, counters):
     """Per node u of J_w, the smallest chain position i whose member tree
     admits a finite drop fixed point at u when w is pinned to that member's
     least leaf; INF when even the largest member fails.  ``members`` is the
@@ -341,7 +354,7 @@ def _thresholds(report, w, members, counters):
     tops = dict.fromkeys(nodes, TOP)
     out = {w: 0}  # pinned to the least leaf, w is finite from the first probe and never drops
     for i, member in enumerate(members):
-        for u in _probe(tops.copy(), report, w, member, counters):
+        for u in _probe(tops.copy(), sub, report, w, member, counters):
             if u not in out:
                 out[u] = i
         if len(out) == len(nodes):
@@ -371,7 +384,7 @@ def arc_costs_generic(sub, report, comp, j, k, spec, counters=None):
     members = trees.chain_members(spec, j, k)
     costs = {}
     for w in comp:
-        theta = _thresholds(report, w, members, counters)
+        theta = _thresholds(sub, report, w, members, counters)
         costs.update(_arc_costs(sub, report, w, theta.__getitem__))
     return costs
 
@@ -385,9 +398,16 @@ def arc_costs_succinct(sub, report, w, spec, counters=None):
     B = spec.bits
     member = trees.chain_members(spec, sub.priorities[w] // 2, 0)[B]
     values = dict.fromkeys(report.j_nodes[w], TOP)
-    _probe(values, report, w, member, counters or Counters())
-    return _arc_costs(sub, report, w, lambda u: INF if values[u] is TOP
-                      else B - trees.zeta(member[0], values[u]))
+    _probe(values, sub, report, w, member, counters or Counters())
+    cost = {TOP: INF}  # one per distinct label
+
+    def theta(u):
+        label = values[u]
+        if label not in cost:
+            cost[label] = B - trees.zeta(member[0], label)
+        return cost[label]
+
+    return _arc_costs(sub, report, w, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +452,17 @@ def require_no_loose(sub, mu: NodeLabeling) -> None:
     """Raise ``UsageError`` at the first arc of ``sub`` (in tail, then
     successor order) whose tail label is above its tight value."""
     spec, values, prio, succ = mu.spec, mu.values, sub.priorities, sub.succ
+    rows = _rows(spec)
     for v in sub.nodes:
         p, lab = prio[v], values[v]
         for w in succ[v]:
             # arc_status's comparisons, inlined: the call and the enum would
             # cost more than the check itself
-            target = tighten_target(spec, values[w], p)
+            head = values[w]
+            try:
+                target = rows.get(head, _NO_ROW)[p]
+            except KeyError:
+                target = _fill_row(spec, head, p)[p]
             if not (lab is target or lab == target or lab < target):
                 raise UsageError(f"labeling has a loose arc {v}->{w}")
 
@@ -553,14 +578,20 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     d = 2 * spec.height
     phi = compute_phi(sub, base_nodes, up_to=d)
     heap, current = [], {}
-    drops = 0
+    drops, rows = 0, _rows(spec)
 
     def relax(u):
         nonlocal drops
         head = values[u]
+        row = rows.get(head, _NO_ROW)
         for v in pred[u]:
             if v not in S:
-                t = tighten_target(spec, head, prio[v])
+                p = prio[v]
+                try:
+                    t = row[p]
+                except KeyError:
+                    row = _fill_row(spec, head, p)
+                    t = row[p]
                 if t < values[v]:
                     values[v] = t
                     drops += 1

@@ -38,7 +38,7 @@ from . import one_player, trees
 from .errors import InvariantError, UsageError
 from .game import EVEN, ODD, ParityGame, Region, StrategySubgraph, default_strategy
 from .labeling import NodeLabeling, lift_arc
-from .trees import TOP, TreeSpec, tighten_target
+from .trees import _NO_ROW, TOP, TreeSpec, _fill_row, _rows
 
 
 class SwitchAll:
@@ -119,14 +119,20 @@ def is_feasible(game: ParityGame, tau: dict, old: NodeLabeling, new: NodeLabelin
             dirty.add(v)
             dirty.update(game.pred[v])
     spec, prio, owners, succ = new.spec, game.priorities, game.owners, game.succ
+    rows = _rows(spec)
     for v in sorted(dirty):
         p, lab = prio[v], values[v]
         odd = owners[v] == ODD
         chosen = tau[v] if odd else None
         adm, tight = [], None  # successors are sorted
         for w in succ[v]:
-            # arc_status's comparisons, inlined
-            target = tighten_target(spec, values[w], p)
+            # arc_status's comparisons, inlined, and the tight target read
+            # from the head's row (see trees._ROWS)
+            head = values[w]
+            try:
+                target = rows.get(head, _NO_ROW)[p]
+            except KeyError:
+                target = _fill_row(spec, head, p)[p]
             if lab is target or lab == target:
                 if tight is None:
                     tight = w

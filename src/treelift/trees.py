@@ -47,13 +47,16 @@ per-spec constant; this maps ``0s < empty < 1s`` onto signed integers
 (empty string -> 0).  Perfect components are their own keys.
 
 ``TOP`` is a singleton greater than every leaf.  All functions here are pure
-and the value types immutable, so everything is safe to share across threads.
+and the value types immutable, so everything is safe to share across threads;
+the memo tables, the tight-target rows among them, only ever hold values the
+pure functions return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from threading import Lock
 
 from .errors import UsageError
 
@@ -529,6 +532,47 @@ def tighten_target(spec: TreeSpec, head_label, p: int):
     if p % 2 == 0:
         return min_leaf_below(spec, prefix)
     return next_subtree_min(spec, prefix)
+
+
+# Tight-target rows, in front of ``tighten_target``'s cache: per spec, for
+# each head label a row {tail priority: tight target} that holds only the
+# priorities asked so far, so a deep tree's 2h priorities cost nothing until
+# asked.  A loop fetches ``rows = _rows(spec)`` once, reads
+# ``rows.get(head, _NO_ROW)[p]`` (once per head when one head serves a loop)
+# and, on a KeyError, ``_fill_row(spec, head, p)[p]``.  The rows of all
+# specs together hold at most ``_ROW_ENTRIES`` entries: a fill that would
+# exceed it first empties them all.  Fills take a lock, so that threads
+# sharing the rows keep that count.
+_ROWS: dict = {}  # spec -> {head label: row}
+_NO_ROW: dict = {}  # the row of a head with none yet; never written
+_ROW_ENTRIES = 1 << 17
+_row_entries = 0
+_row_lock = Lock()
+
+
+def _rows(spec: TreeSpec) -> dict:
+    """The rows of ``spec``, {head label: row}, registered on first use."""
+    rows = _ROWS.get(spec)
+    return _ROWS.setdefault(spec, {}) if rows is None else rows
+
+
+def _fill_row(spec: TreeSpec, head_label, p: int) -> dict:
+    """The row of ``head_label`` after entering its tight target for ``p``,
+    which ``tighten_target`` computes, raising (with nothing stored) as it
+    does for a priority outside [1, 2h]."""
+    global _row_entries
+    target = tighten_target(spec, head_label, p)
+    with _row_lock:
+        row = _rows(spec).get(head_label, _NO_ROW)
+        if p not in row:
+            if _row_entries >= _ROW_ENTRIES:
+                _ROWS.clear()
+                _row_entries, row = 0, _NO_ROW
+            if row is _NO_ROW:
+                row = _rows(spec)[head_label] = {}
+            row[p] = target
+            _row_entries += 1
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def _brute_cost_bounds(sub, report, w, j, k, spec):
     jn = sorted(report.j_nodes[w])
     adj = {u: [] for u in jn}
     for x, tails in report.j_in[w].items():
-        for u, _ in tails:
+        for u in tails:
             adj[u].append(x)
     arcs = sorted((u, x) for u in jn for x in adj[u])
     length = trees.chain_length(spec, j, k)

@@ -203,7 +203,7 @@ def test_worklist_matches_sweep(monkeypatch):
             strategy_iteration_solve(g, spec, engine="lc", record_phases=False)
             for w in report.base_nodes:
                 jn = sorted(report.j_nodes[w])
-                arcs = sorted((u, x) for x, tails in report.j_in[w].items() for u, _ in tails)
+                arcs = sorted((u, x) for x, tails in report.j_in[w].items() for u in tails)
                 j = g.priorities[w] // 2
                 for k in trees.chain_indices(spec, j):
                     for i in range(trees.chain_length(spec, j, k)):
@@ -211,7 +211,7 @@ def test_worklist_matches_sweep(monkeypatch):
                         start = dict.fromkeys(jn, TOP)
                         start[w] = trees.min_leaf(domain)
                         got = dict(start)
-                        lowered = _bf(got, report.j_in[w], domain, Counters(), [w])
+                        lowered = _bf(got, report.j_in[w], g.priorities, domain, Counters(), [w])
                         assert set(lowered) == {u for u in jn if got[u] != start[u]}
                         assert got == _sweep(start, arcs, g.priorities, domain)
                         probes += 1
@@ -252,9 +252,9 @@ def test_bf_walk_longer_than_nodes():
     rounds = _Rounds()
     in_arcs = {}
     for v, w in sorted(arcs):
-        in_arcs.setdefault(w, []).append((v, prio[v]))
+        in_arcs.setdefault(w, []).append(v)
     got = dict(start)
-    _bf(got, dict(sorted(in_arcs.items())), spec, rounds, [1])
+    _bf(got, dict(sorted(in_arcs.items())), prio, spec, rounds, [1])
     assert got == _sweep(dict(start), arcs, prio, spec)
     assert got[6] == (0, 0, 1) and len(rounds.seen) == 8
 

@@ -288,12 +288,14 @@ def _check_scaffolding(sub):
         want = reach | {v for v in others if reach.intersection(sub.succ[v])}
         assert report.j_nodes[w] == want
         assert report.j_tops[w] == {v for v in want if prio[v] == prio[w]}
-        # J_w has every arc inside it except those into another top
+        # J_w has every arc inside it except those into another top, by
+        # head: every node of J_w is a head, each head's tails in order
         arcs = sorted((x, u) for u in want for x in sub.succ[u]
                       if x in want and x not in others)
-        assert list(report.j_in[w]) == sorted({x for x, _ in arcs})
-        assert [(x, u) for x, tails in report.j_in[w].items() for u, _ in tails] == arcs
-        assert all(p == prio[u] for tails in report.j_in[w].values() for u, p in tails)
+        assert set(report.j_in[w]) == want
+        assert all(report.j_in[w][v] == () for v in want & others)
+        assert sorted((x, u) for x, tails in report.j_in[w].items() for u in tails) == arcs
+        assert all(list(tails) == sorted(tails) for tails in report.j_in[w].values())
     groups = {}
     for w in report.base_nodes:
         groups.setdefault(id(report.k_comp[w]), []).append(w)

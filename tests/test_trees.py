@@ -529,3 +529,131 @@ def test_memoised_raise_rejects_unhashable_leaves(p32, s72):
                 raise_leaf(spec=spec, leaf=bad, i=0, j=1, k=0)
         assert raise_leaf(spec=spec, leaf=leaf, i=0, j=1, k=0) == raise_leaf(spec, leaf, 0, 1, 0)
 
+
+
+def _row_read(spec, head, p):
+    """A tight target as the engines read it: the head's row, filled on a
+    miss."""
+    try:
+        return trees._rows(spec).get(head, trees._NO_ROW)[p]
+    except KeyError:
+        return trees._fill_row(spec, head, p)[p]
+
+
+def _stored():
+    return sum(len(row) for rows in trees._ROWS.values() for row in rows.values())
+
+
+ROW_SPECS = (TreeSpec.perfect(4, 3), TreeSpec.succinct(12, 3), TreeSpec.strahler(2, 12, 3))
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS)
+def test_tight_rows_match_tighten_target(spec):
+    rng = random.Random(25)
+    leaves = list(trees.iter_leaves(spec))
+    heads = rng.sample(leaves, min(40, len(leaves))) + [TOP]
+    for head in heads:
+        for p in rng.sample(range(1, 2 * spec.height + 1), 2 * spec.height):
+            assert _row_read(spec, head, p) == tighten_target(spec, head, p)
+            assert _row_read(spec, head, p) is trees._rows(spec)[head][p]
+        assert trees._rows(spec)[head] == {p: tighten_target(spec, head, p)
+                                           for p in range(1, 2 * spec.height + 1)}
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS)
+def test_tight_row_rejects_bad_priority_storing_nothing(spec):
+    # a dict row, not a list: -1 must not wrap round to the last priority
+    head = min_leaf(spec)
+    for p in (0, -1, 2 * spec.height + 1):
+        entries, count = _stored(), trees._row_entries
+        with pytest.raises(UsageError, match="out of range"):
+            _row_read(spec, head, p)
+        assert p not in trees._rows(spec).get(head, {})
+        assert (_stored(), trees._row_entries) == (entries, count)
+
+
+def test_tight_row_rejects_unhashable_head_as_tighten_target_does(s72):
+    head = list(min_leaf(s72))
+    with pytest.raises(TypeError) as want:
+        tighten_target(s72, head, 1)
+    with pytest.raises(TypeError) as got:
+        _row_read(s72, head, 1)
+    assert str(got.value) == str(want.value)
+
+
+def test_tight_rows_are_lazy_in_the_priority():
+    # a row holds only the priorities asked of it, never all 2h of a deep tree
+    h = 1200
+    for spec in (TreeSpec.succinct(4, h), TreeSpec.strahler(1, 2, h)):
+        head = min_leaf(spec)
+        asked = {1, 2, 7, 2 * h}
+        for p in asked:
+            assert _row_read(spec, head, p) == tighten_target(spec, head, p)
+        assert set(trees._rows(spec)[head]) == asked
+
+
+def test_tight_rows_stay_within_their_bound(monkeypatch):
+    from treelift.game import gen_random
+    from treelift.one_player import Counters
+    from treelift.solver import strategy_iteration_solve
+
+    game = gen_random(30, 6, 3, seed=12)
+    specs = (TreeSpec.perfect(30, 3), TreeSpec.succinct(30, 3), TreeSpec.strahler(2, 30, 3))
+    want = [strategy_iteration_solve(game, spec, engine="lc").labeling.values
+            for spec in specs]
+    bound = 5
+    monkeypatch.setattr(trees, "_ROW_ENTRIES", bound)
+
+    class Bounded(Counters):
+        def bf_round(self, values):
+            assert _stored() <= bound
+
+    rng = random.Random(7)
+    for spec in ROW_SPECS:
+        leaves = list(trees.iter_leaves(spec))
+        for _ in range(200):
+            head, p = rng.choice(leaves), rng.randint(1, 2 * spec.height)
+            assert _row_read(spec, head, p) == tighten_target(spec, head, p)
+            assert _stored() <= bound
+    for spec, values in zip(specs, want):
+        got = strategy_iteration_solve(game, spec, engine="lc", counters=Bounded())
+        assert got.labeling.values == values
+        assert _stored() <= bound
+
+
+def test_tight_rows_keep_their_count_under_threads(monkeypatch):
+    # threads fill the same rows in the same order, and a fill yields the
+    # interpreter lock between finding a row missing and making it: the
+    # entry count stays exact and every entry is its tight target
+    import threading
+    import time
+
+    monkeypatch.setattr(trees, "_ROWS", {})
+    monkeypatch.setattr(trees, "_row_entries", 0)
+    rows_of = trees._rows
+    monkeypatch.setattr(trees, "_rows", lambda spec: time.sleep(0) or rows_of(spec))
+    leaves = {spec: list(trees.iter_leaves(spec)) for spec in ROW_SPECS}
+    errors = []
+
+    def work():
+        rng = random.Random(3)
+        try:
+            for _ in range(2000):
+                spec = rng.choice(ROW_SPECS)
+                head, p = rng.choice(leaves[spec]), rng.randint(1, 2 * spec.height)
+                assert _row_read(spec, head, p) == tighten_target(spec, head, p)
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert trees._row_entries == _stored()
