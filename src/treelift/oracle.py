@@ -1,10 +1,12 @@
 """Slow, independent correctness oracles.
 
 These deliberately avoid the engine code paths they are used to check:
-the winner oracle is the classical attractor recursion, the fixed-point
-oracle and the whole-game arc scans that the tests hold the solver's
-per-phase check against re-implement arc feasibility on their own, and the
-tree oracles work on plain string tuples enumerated by filtering.
+the winner oracle is the classical attractor recursion, each attractor a
+worklist over predecessor lists derived from ``succ`` itself and linear in
+its subgame; the fixed-point oracle and the whole-game arc scans that the
+tests hold the solver's per-phase check against re-implement arc
+feasibility on their own, and the tree oracles work on plain string tuples
+enumerated by filtering.
 ``NaiveRace`` runs the fixed-point oracle against every phase of a solve.
 """
 
@@ -28,48 +30,73 @@ class WinnerPartition:
     odd_wins: frozenset
 
 
-def _attractor(nodes, succ, owners, target, player):
+def _predecessors(succ) -> list:
+    """node -> its distinct predecessors, derived from ``succ``."""
+    pred = [[] for _ in succ]
+    for v, outs in enumerate(succ):
+        for w in set(outs):
+            pred[w].append(v)
+    return pred
+
+
+def _attractor(nodes, succ, pred, owners, target, player):
     """Nodes from which ``player`` forces a visit to ``target`` within the
-    induced subgraph ``nodes``."""
+    induced subgraph ``nodes``: ``target``, then every node of ``player``
+    with a successor in the set and every other node whose successors in
+    ``nodes`` all are, so that an opponent dead end is attracted and a dead
+    end of ``player`` is not.  ``pred`` is ``_predecessors(succ)``.
+
+    A worklist of attracted nodes walks ``pred``, and each opponent node
+    counts its successors in ``nodes`` still outside the set, so a call
+    costs O(|nodes| + arcs)."""
     attr = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for v in nodes:
-            if v in attr:
-                continue
-            outs = [w for w in succ[v] if w in nodes]
-            if owners[v] == player:
-                hit = any(w in attr for w in outs)
-            else:
-                hit = all(w in attr for w in outs)
-            if hit:
+    left = {}
+    for v in nodes:
+        if owners[v] != player and v not in attr:
+            left[v] = k = len(nodes.intersection(succ[v]))
+            if not k:
                 attr.add(v)
-                changed = True
+    queue = [v for v in attr if v in nodes]
+    for w in queue:
+        for u in pred[w]:
+            if u in attr or u not in nodes:
+                continue
+            if owners[u] != player:
+                left[u] -= 1
+                if left[u]:
+                    continue
+            attr.add(u)
+            queue.append(u)
     return attr
 
 
 def zielonka_solve(game) -> WinnerPartition:
-    """Classical recursive attractor-based partition (exponential worst case;
-    intended for cross-checking at small sizes).
+    """Classical recursive attractor-based partition.
+
+    Each attractor costs O(|nodes| + arcs) of its subgame.  What grows is
+    the number of calls: exponential in the worst case, and quadratic in n
+    on deep games whose winners interleave, such as n self-loops of
+    priorities 1..n owned alternately (about n²/4 attractors).
 
     The recursion runs on an explicit stack: ``solve`` yields each subgame it
     recurses into and is sent back that subgame's partition.  Its depth grows
     with the number of distinct priorities, so it takes no Python stack."""
 
+    succ, owners, prio = game.succ, game.owners, game.priorities
+    pred = _predecessors(succ)
+
     def solve(nodes):
         if not nodes:
             return set(), set()
-        p = max(game.priorities[v] for v in nodes)
+        p = max(prio[v] for v in nodes)
         player = p % 2
-        tops = {v for v in nodes if game.priorities[v] == p}
-        a = _attractor(nodes, game.succ, game.owners, tops, player)
-        w0, w1 = yield nodes - a
-        win = (w0, w1)
-        if not win[1 - player]:
-            mine = set(nodes) - win[1 - player]
+        tops = {v for v in nodes if prio[v] == p}
+        a = _attractor(nodes, succ, pred, owners, tops, player)
+        theirs = (yield nodes - a)[1 - player]
+        if not theirs:
+            mine = set(nodes)
             return (mine, set()) if player == EVEN else (set(), mine)
-        b = _attractor(nodes, game.succ, game.owners, win[1 - player], 1 - player)
+        b = _attractor(nodes, succ, pred, owners, theirs, 1 - player)
         w0b, w1b = yield nodes - b
         if player == EVEN:
             return w0b, w1b | b
