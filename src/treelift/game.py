@@ -18,6 +18,7 @@ import random
 import re
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import FormatError, UsageError
 
@@ -69,8 +70,13 @@ class ParityGame:
         """Original id, or the name when one was given."""
         return self.names[v] if self.names[v] is not None else self.orig_ids[v]
 
-    def odd_nodes(self):
-        return [v for v in range(self.n) if self.owners[v] == ODD]
+    def odd_nodes(self) -> tuple:
+        """Odd's nodes in increasing order, listed on the first call."""
+        return self._odd
+
+    @cached_property
+    def _odd(self):
+        return tuple([v for v, owner in enumerate(self.owners) if owner == ODD])
 
 
 def _build(owners, priorities, succ, names=None, orig_ids=None, orig_priorities=None):

@@ -27,10 +27,13 @@ Both start from one layered SCC split by priority, ``_layers``: for each
 even p from the top down, the SCCs among the nodes of priority <= p.  Its
 cyclic components give the base nodes, and its levels over the graph
 without the base nodes' out-arcs give the topological index phi of the
-label-setting engine's potentials.  Tarjan's DFS (``strongly_connected``)
-reports each component's cyclicity as it pops it, and an acyclic
-component is a single node whose top priority is its own priority, so
-the split rescans only cyclic components, for their top priority.
+label-setting engine's potentials.  Every pass of the split, and every
+``strongly_connected`` call, is one run of a single Tarjan DFS,
+``_tarjan``, and the passes of one split share its arrays.  The DFS gives
+each component its cyclicity and its top priority as it pops it: a
+single node is cyclic iff its successor list holds it, and the top is the
+largest priority among the members leaving the stack, so no component is
+scanned again.
 
 Both also run on a ``game.Region`` of a strategy subgraph, in the game's
 node ids: they work on its ``nodes``, keep the input labels of its
@@ -91,22 +94,30 @@ class Counters:
 # ---------------------------------------------------------------------------
 
 
-def strongly_connected(nodes, succ):
-    """SCCs of the digraph on ``nodes`` (a sequence of small non-negative
-    ints) with arcs ``v -> w`` for ``w`` in ``succ[v]`` that lie in
-    ``nodes``: heads outside it are skipped, so callers pass the full
-    successor lists (a list, or a dict with a key per node).  Components are
-    emitted in reverse topological order of the condensation (sinks first),
-    each as (comp, cyclic): its nodes in the order the stack pops them, and
-    whether it holds a cycle, i.e. has two or more nodes or a self-loop,
-    which the DFS sees as an arc scan meeting ``w == v``."""
+def _scratch(nodes, succ):
+    """Tarjan's ``index`` and ``low`` arrays for ``_tarjan`` over ``nodes``
+    and any subsets of them, every index at 'done' (see there)."""
     size = max(len(succ), max(nodes, default=-1) + 1)
-    done = size + 1         # index of a non-member or of a node already in a component
-    index = [done] * size   # DFS number from 1; 0 = unvisited member
+    return [size + 1] * size, [0] * size
+
+
+def _tarjan(nodes, succ, prio, index, low, out):
+    """Append to ``out``, and return it, the SCCs of the digraph on
+    ``nodes`` (arcs as for ``strongly_connected``), each as (comp, cyclic,
+    high), in the order and with the members and flags
+    ``strongly_connected`` gives, where high is the largest ``prio`` in
+    comp.
+
+    ``index`` and ``low`` come from ``_scratch``; every entry of ``index``
+    reads 'done', len(index) + 1, before the call and again after it, so
+    one pair serves any number of calls.  That value is above every DFS
+    number, so a finished node and a non-member alike are neither entered
+    nor lower a ``low``.  A single-node component is cyclic iff it has a
+    self-loop, tested once, as it pops."""
+    done = len(index) + 1
     for v in nodes:
-        index[v] = 0
-    low = [0] * size
-    stack, comps, loops = [], [], set()
+        index[v] = 0    # unvisited member; DFS numbers count from 1
+    stack = []
     counter = 0
     for root in nodes:
         if index[root]:
@@ -127,8 +138,6 @@ def strongly_connected(nodes, succ):
                     break
                 if iw < low[v]:  # on the stack: the others read `done`
                     low[v] = iw
-                elif w == v:
-                    loops.add(v)
             else:
                 work.pop()
                 lv = low[v]
@@ -140,15 +149,32 @@ def strongly_connected(nodes, succ):
                     w = stack.pop()
                     index[w] = done
                     if w == v:
-                        comps.append(([v], v in loops))
+                        out.append(([v], v in succ[v], prio[v]))
                     else:
                         comp = [w]
+                        high = prio[w]
                         while w != v:
                             w = stack.pop()
                             index[w] = done
                             comp.append(w)
-                        comps.append((comp, True))
-    return comps
+                            if prio[w] > high:
+                                high = prio[w]
+                        out.append((comp, True, high))
+    return out
+
+
+def strongly_connected(nodes, succ):
+    """SCCs of the digraph on ``nodes`` (a sequence of small non-negative
+    ints) with arcs ``v -> w`` for ``w`` in ``succ[v]`` that lie in
+    ``nodes``: heads outside it are skipped, so callers pass the full
+    successor lists (a list, or a dict with a key per node).  Components are
+    emitted in reverse topological order of the condensation (sinks first),
+    each as (comp, cyclic): its nodes in the order Tarjan's stack pops them,
+    and whether it holds a cycle, i.e. has two or more nodes or a
+    self-loop."""
+    index, low = _scratch(nodes, succ)
+    # no priorities here: `low` stands in for them, and `high` is dropped
+    return [(comp, cyclic) for comp, cyclic, _ in _tarjan(nodes, succ, low, index, low, [])]
 
 
 def _layers(nodes, succ, prio, up_to=0):
@@ -158,28 +184,24 @@ def _layers(nodes, succ, prio, up_to=0):
     (comp, cyclic, high) in rank order, sinks first, where high is the
     largest priority in comp.
 
-    The first level is one SCC pass over ``nodes``.  Each later one keeps,
-    in place, each component with high <= p, drops each single node above
-    p, and splits each other component by one SCC pass over its nodes of
+    The first level is one ``_tarjan`` pass over ``nodes``.  Each later one
+    keeps, in place, each component with high <= p, drops each single node
+    above p, and splits each other component by one pass over its nodes of
     priority <= p, so no kept or dropped component is scanned.  Every cycle
     and every path of a level is one of the level above, so the order stays
-    topological.  An acyclic component is a single node, whose top priority
-    is its own; only cyclic components are scanned for theirs."""
-    def sccs(group):
-        return [(c, cyclic, max([prio[v] for v in c]) if cyclic else prio[c[0]])
-                for c, cyclic in strongly_connected(group, succ)]
-
+    topological.  All passes share one pair of ``_scratch`` arrays."""
+    index, low = _scratch(nodes, succ)
+    level = _tarjan(nodes, succ, prio, index, low, [])
     top = max(prio)
-    level = sccs(nodes)
     for p in range(max(top + top % 2, up_to), 1, -2):
         split = []
-        for comp, cyclic, high in level:
-            if high <= p:
-                split.append((comp, cyclic, high))
-            elif len(comp) > 1:
-                keep = [v for v in comp if prio[v] <= p]
+        for entry in level:
+            if entry[2] <= p:
+                split.append(entry)
+            elif entry[1] and len(entry[0]) > 1:  # an acyclic one is a single node
+                keep = [v for v in entry[0] if prio[v] <= p]
                 if keep:
-                    split.extend(sccs(keep))
+                    _tarjan(keep, succ, prio, index, low, split)
         level = split
         yield p, level
 
@@ -531,8 +553,9 @@ def compute_phi(sub, base_nodes, up_to=None):
     ``InvariantError`` (too few base nodes were given)."""
     n = sub.n
     prio = sub.priorities
-    blocked = set(base_nodes)
-    hsucc = [(() if v in blocked else sub.succ[v]) for v in range(n)]
+    hsucc = list(sub.succ)
+    for v in base_nodes:
+        hsucc[v] = ()
     phi = {}
     for p, level in _layers(sub.nodes, hsucc, prio, up_to or 0):
         val = [0] * n
@@ -592,7 +615,9 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
                 except KeyError:
                     row = _fill_row(spec, head, p)
                     t = row[p]
-                if t < values[v]:
+                cur = values[v]
+                # as in `_bf`: TOP is decided by identity, not by its comparisons
+                if t is not TOP and (cur is TOP or t < cur):
                     values[v] = t
                     drops += 1
                     pot = current[v] = _potential(spec, phi, values, v, d)
@@ -603,7 +628,7 @@ def dijkstra(sub, nu: NodeLabeling, base_nodes, counters=None) -> NodeLabeling:
     last_pot = None
     while heap:
         pot, u = heapq.heappop(heap)
-        if u in S or current[u] != pot:
+        if u in S or current[u] is not pot:  # a later push replaced it
             continue
         if last_pot is not None and pot < last_pot:
             raise InvariantError("dijkstra admitted a decreasing potential")

@@ -33,6 +33,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 
 from . import one_player, trees
 from .errors import InvariantError, UsageError
@@ -107,12 +109,14 @@ def is_feasible(game: ParityGame, tau: dict, old: NodeLabeling, new: NodeLabelin
     Every other tail passed last phase with the same inputs, so
     re-classifying the dirty tails in increasing order raises the error a
     full scan would."""
-    values = new.values
+    olds, values = old.values, new.values
     # whole-game on purpose: a label the engine moved outside its region
-    # still makes its node and the node's predecessors dirty
+    # still makes its node and the node's predecessors dirty; identical
+    # labels, most of them, are skipped at C speed
     changed = []
-    for v, (a, b) in enumerate(zip(old.values, values)):
-        if a is not b and a != b:
+    for v in compress(range(len(values)), map(is_not, olds, values)):
+        a, b = olds[v], values[v]
+        if a != b:
             if not a < b:
                 raise InvariantError("labeling decreased across a phase")
             changed.append(v)

@@ -138,6 +138,123 @@ def test_layers_match_networkx():
     assert levels > 4000
 
 
+def literal_strongly_connected(nodes, succ):
+    """The SCC routine as it stood before the shared Tarjan core, verbatim
+    but for its name: the reference for the components' order, their
+    members' order and their flags."""
+    size = max(len(succ), max(nodes, default=-1) + 1)
+    done = size + 1         # index of a non-member or of a node already in a component
+    index = [done] * size   # DFS number from 1; 0 = unvisited member
+    for v in nodes:
+        index[v] = 0
+    low = [0] * size
+    stack, comps, loops = [], [], set()
+    counter = 0
+    for root in nodes:
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                iw = index[w]
+                if not iw:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if iw < low[v]:  # on the stack: the others read `done`
+                    low[v] = iw
+                elif w == v:
+                    loops.add(v)
+            else:
+                work.pop()
+                lv = low[v]
+                if work:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                if lv == index[v]:
+                    w = stack.pop()
+                    index[w] = done
+                    if w == v:
+                        comps.append(([v], v in loops))
+                    else:
+                        comp = [w]
+                        while w != v:
+                            w = stack.pop()
+                            index[w] = done
+                            comp.append(w)
+                        comps.append((comp, True))
+    return comps
+
+
+def literal_layers(nodes, succ, prio, up_to=0):
+    """The layered split as it stood before the shared Tarjan core, verbatim
+    but for the name of the SCC routine it calls."""
+    def sccs(group):
+        return [(c, cyclic, max([prio[v] for v in c]) if cyclic else prio[c[0]])
+                for c, cyclic in literal_strongly_connected(group, succ)]
+
+    top = max(prio)
+    level = sccs(nodes)
+    for p in range(max(top + top % 2, up_to), 1, -2):
+        split = []
+        for comp, cyclic, high in level:
+            if high <= p:
+                split.append((comp, cyclic, high))
+            elif len(comp) > 1:
+                keep = [v for v in comp if prio[v] <= p]
+                if keep:
+                    split.extend(sccs(keep))
+        level = split
+        yield p, level
+
+
+def test_split_keeps_the_literal_order():
+    # phi ranks components in emission order, so both routines must return
+    # exactly what the literal ones do: components, member order, flags, top
+    # priorities and level order, on shuffled node subsets, list and dict
+    # adjacency, heads outside ``nodes`` and H-style blanked lists
+    rng = random.Random(SEED + 6)
+    seen = dict.fromkeys(("dict", "restricted", "blanked", "outside", "loop", "up_to 0",
+                          "above top"), 0)
+    for sub in _graphs(2000):
+        n, prio = sub.n, sub.priorities
+        nodes = [v for v in range(n) if rng.random() < 0.85]
+        rng.shuffle(nodes)
+        keep = set(nodes)
+        succ = list(sub.succ)
+        if rng.random() < 0.3:  # H: some nodes lose all their out-arcs
+            for v in rng.sample(range(n), rng.randint(1, n)):
+                succ[v] = ()
+            seen["blanked"] += 1
+        shape = rng.randrange(3)
+        if shape == 1:  # a dict with a key per node of the graph
+            succ = dict(enumerate(succ))
+            seen["dict"] += 1
+        elif shape == 2:  # a dict restricted to ``nodes``
+            succ = {v: [w for w in succ[v] if w in keep] for v in nodes}
+            seen["restricted"] += 1
+        seen["outside"] += any(w not in keep for v in nodes for w in succ[v])
+        seen["loop"] += any(v in succ[v] for v in nodes)
+        assert strongly_connected(nodes, succ) == literal_strongly_connected(nodes, succ)
+        if shape == 2:
+            continue  # the literal split sizes each pass by its subset: it needs a key per node
+        top = max(prio)
+        top += top % 2
+        up_to = rng.choice([0, 0, top, top + 2, top + 6])
+        seen["up_to 0"] += up_to == 0
+        seen["above top"] += up_to > top
+        assert list(_layers(nodes, succ, prio, up_to)) == \
+            list(literal_layers(nodes, succ, prio, up_to))
+    assert min(seen.values()) > 300, seen
+
+
 def test_k_comp_is_scc_below_priority():
     seen = 0
     for sub in _graphs(2000):
