@@ -51,6 +51,19 @@ def src_tree_on_disk() -> str:
     return git("rev-parse", f"{git('stash', 'create') or 'HEAD'}:src")
 
 
+def revisions(parent: str) -> dict:
+    """Both sides' ids: the parent's commit and ``src/`` tree, and the
+    change's ``HEAD``, whether tracked files differ from it, and the tree of
+    its ``src/`` as it is on disk."""
+    return {
+        "parent": git("rev-parse", parent),
+        "parent_src_tree": git("rev-parse", f"{parent}:src"),
+        "change": git("rev-parse", "HEAD"),
+        "change_uncommitted": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_src_tree": src_tree_on_disk(),
+    }
+
+
 def extract(rev: str, dest: Path) -> None:
     """The tree of ``rev`` written to ``dest`` with ``git archive``."""
     data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -130,11 +143,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     record = {
-        "parent": git("rev-parse", args.parent),
-        "parent_src_tree": git("rev-parse", f"{args.parent}:src"),
-        "change": git("rev-parse", "HEAD"),
-        "change_uncommitted": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "change_src_tree": src_tree_on_disk(),
+        **revisions(args.parent),
         "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
         "cpu_count": os.cpu_count(), "python": sys.version.split()[0],
         "workloads": {},

@@ -2,21 +2,21 @@
 """Solve time against game size, on every tree, for a parent and a change.
 
     python3 tools/scaling.py --out scaling.json [--parent HEAD~1]
-        [--repeats 3] [--seed 7] [--sizes 500 1000 2000 4000]
 
-Each series solves ``gen_random(n, 8, 3, seed)`` for each size n on the
-perfect, succinct and Strahler trees, with the CLI's default spec for each
-(``cli.build_spec``) and the default pivot rule, in-process through
-``strategy_iteration_solve``, and records the wall seconds and phases of
-every solve.  The change is this checkout's ``src/`` as it is on disk; the
-parent revision is extracted with ``git archive`` into a temporary
-directory, which is removed at the end.  Each repeat runs one series per
-side, each in a fresh process, the parent first in even repeats and the
-change first in odd ones.
+Each series solves ``gen_random(n, 8, 3, 7)`` for n = 500, 1,000, 2,000 and
+4,000 on the perfect, succinct and Strahler trees, with the CLI's default
+spec for each (``cli.build_spec``) and the default pivot rule, in-process
+through ``strategy_iteration_solve``, and records the wall seconds and
+phases of every solve.  The change is this checkout's ``src/`` as it is on
+disk; the parent revision is extracted with ``git archive`` into a temporary
+directory, which is removed at the end.  Each of three repeats runs one
+series per side, each in a fresh process, the parent first in even repeats
+and the change first in odd ones.
 
 The output records, per tree and size, each side's median and min seconds
 over the repeats, its phase count, and the ratio of the change's median to
 the parent's, beside both sides' revisions and every run's raw seconds.
+The series is fixed, so that every record measures the same games.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ import bench_pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("perfect", "succinct", "strahler")
-DEGREE, MAX_OUT = 8, 3
+SIZES = (500, 1000, 2000, 4000)
+DEGREE, MAX_OUT, SEED = 8, 3, 7
+REPEATS = 3
 
 
-def series(sizes, seed) -> dict:
+def series() -> dict:
     """One series in this process: {tree: {n: [seconds, phases]}}, with the
     ``treelift`` found on ``sys.path``."""
     from treelift.cli import build_spec
@@ -47,8 +49,8 @@ def series(sizes, seed) -> dict:
     from treelift.solver import strategy_iteration_solve
 
     out = {tree: {} for tree in TREES}
-    for n in sizes:
-        game = gen_random(n, DEGREE, MAX_OUT, seed)
+    for n in SIZES:
+        game = gen_random(n, DEGREE, MAX_OUT, SEED)
         for tree in TREES:
             spec = build_spec(game, tree)
             t0 = time.perf_counter()
@@ -57,12 +59,11 @@ def series(sizes, seed) -> dict:
     return out
 
 
-def run_series(src: Path, sizes, seed) -> dict:
+def run_series(src: Path) -> dict:
     """One series in a fresh process that imports ``treelift`` from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, __file__, "--series", "--seed", str(seed),
-         "--sizes", *map(str, sizes)], env=env, capture_output=True, text=True)
+        [sys.executable, __file__, "--series"], env=env, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{src}: series exited {proc.returncode}: {proc.stderr[-400:]}")
     return json.loads(proc.stdout)
@@ -90,25 +91,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--parent", default="HEAD~1",
                         help="parent revision (HEAD to measure uncommitted work)")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000, 4000])
     parser.add_argument("--series", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.series:
-        print(json.dumps(series(args.sizes, args.seed)))
+        print(json.dumps(series()))
         return 0
     if not args.out:
         parser.error("--out is required")
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     record = {
-        "parent": bench_pairs.git("rev-parse", args.parent),
-        "parent_src_tree": bench_pairs.git("rev-parse", f"{args.parent}:src"),
-        "change": bench_pairs.git("rev-parse", "HEAD"),
-        "change_src_tree": bench_pairs.src_tree_on_disk(),
-        "game": f"gen_random(n, {DEGREE}, {MAX_OUT}, {args.seed})",
-        "sizes": args.sizes, "repeats": args.repeats,
+        **bench_pairs.revisions(args.parent),
+        "game": f"gen_random(n, {DEGREE}, {MAX_OUT}, {SEED})",
+        "sizes": list(SIZES), "repeats": REPEATS,
         "cpu_count": os.cpu_count(), "python": sys.version.split()[0],
     }
     tmp = Path(tempfile.mkdtemp(prefix="scaling_"))
@@ -116,11 +109,10 @@ def main(argv=None) -> int:
         bench_pairs.extract(record["parent"], tmp)
         sides = {"parent": tmp / "src", "change": ROOT / "src"}
         runs = []
-        for i in range(args.repeats):
+        for i in range(REPEATS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs.append({side: run_series(sides[side], args.sizes, args.seed)
-                         for side in order})
-            print(f"repeat {i + 1}/{args.repeats} done", file=sys.stderr)
+            runs.append({side: run_series(sides[side]) for side in order})
+            print(f"repeat {i + 1}/{REPEATS} done", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     record["series"] = summarise(runs)
